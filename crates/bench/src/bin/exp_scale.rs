@@ -1,5 +1,5 @@
 //! Million-flow hybrid-engine scaling: the flow-level fast path over the
-//! fused dataplane, end to end.
+//! server NF runtime, end to end.
 //!
 //! Usage: `exp_scale [--quick] [--baseline PATH]`
 //!
@@ -8,7 +8,7 @@
 //! 1 M flows total — with heavy-tailed sizes (bounded Pareto, α = 1.1),
 //! a diurnal rate curve, a mid-run flash crowd, and a DDoS surge of
 //! minimum-size junk flows. Heavy hitters (≥ θ packets) are materialized
-//! packet-by-packet through the fused path; the long tail advances
+//! packet-by-packet through the dataplane; the long tail advances
 //! analytically per SLO window, so simulated work scales with *heavy*
 //! packets while conservation stays exact-integer.
 //!
@@ -30,8 +30,8 @@ use lemur_bench::table::{cell, fnum, json_row, Table};
 use lemur_bench::{build_problem, write_json};
 use lemur_core::chains::CanonicalChain;
 use lemur_dataplane::{
-    validate_scenario, ChainLoad, Diurnal, FlowSizeDist, HybridConfig, HybridMode, RuntimeMode,
-    Scenario, ScenarioSpec, SimConfig, Surge, SurgeKind, Testbed, TrafficSpec, TrafficTolerance,
+    validate_scenario, ChainLoad, Diurnal, FlowSizeDist, HybridConfig, HybridMode, Scenario,
+    ScenarioSpec, SimConfig, Surge, SurgeKind, Testbed, TrafficSpec, TrafficTolerance,
 };
 use lemur_placer::corealloc::CoreStrategy;
 use lemur_placer::placement::{EvaluatedPlacement, PlacementProblem};
@@ -184,7 +184,8 @@ impl serde::Serialize for Artifact {
 }
 
 fn testbed(p: &PlacementProblem, e: &EvaluatedPlacement) -> Testbed {
-    Testbed::build_with_mode(p, e, RuntimeMode::Fused).expect("testbed build")
+    let deployment = lemur_metacompiler::compile(p, e).expect("meta-compile");
+    Testbed::build(p, e, deployment).expect("testbed build")
 }
 
 fn run_cell(

@@ -15,7 +15,6 @@ use lemur_bess::CoreId;
 use lemur_core::Slo;
 use lemur_ebpf::{Vm, XdpVerdict};
 use lemur_metacompiler::Deployment;
-pub use lemur_metacompiler::RuntimeMode;
 use lemur_nf::{AggregateObservables, AggregateUpdate, NfCtx, NfKind};
 use lemur_p4sim::{PisaModel, Switch};
 use lemur_packet::PacketBuf;
@@ -41,8 +40,6 @@ pub enum BuildError {
     UnsupportedTor(String),
     /// The generated P4 program failed to compile/load on the switch.
     SwitchLoad(String),
-    /// Meta-compilation failed inside [`Testbed::build_with_mode`].
-    Compile(String),
 }
 
 impl std::fmt::Display for BuildError {
@@ -50,7 +47,6 @@ impl std::fmt::Display for BuildError {
         match self {
             BuildError::UnsupportedTor(msg) => write!(f, "unsupported ToR: {msg}"),
             BuildError::SwitchLoad(msg) => write!(f, "switch load: {msg}"),
-            BuildError::Compile(msg) => write!(f, "meta-compile: {msg}"),
         }
     }
 }
@@ -71,6 +67,31 @@ pub struct SimConfig {
     /// SLO-guard sampling window (ns of virtual time). The guard only
     /// runs when `run_with_faults` is given per-chain SLOs.
     pub window_ns: u64,
+}
+
+impl SimConfig {
+    /// Reject a configuration the engine would otherwise bend silently: a
+    /// NaN, infinite or negative `duration_s`/`warmup_s` (the `as u64`
+    /// conversion turns it into a 0 ns horizon, or saturates), a zero
+    /// `duration_s` (rates divide by it) and a zero `window_ns`.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        let horizon_s = self.warmup_s + self.duration_s;
+        let bad = if !self.duration_s.is_finite() || self.duration_s <= 0.0 {
+            Some(("duration_s", self.duration_s))
+        } else if !self.warmup_s.is_finite() || self.warmup_s < 0.0 {
+            Some(("warmup_s", self.warmup_s))
+        } else if horizon_s * 1e9 >= u64::MAX as f64 {
+            Some(("warmup_s + duration_s", horizon_s))
+        } else if self.window_ns == 0 {
+            Some(("window_ns", 0.0))
+        } else {
+            None
+        };
+        match bad {
+            Some((field, value)) => Err(ScenarioError::InvalidSimConfig { field, value }),
+            None => Ok(()),
+        }
+    }
 }
 
 impl Default for SimConfig {
@@ -147,6 +168,8 @@ pub enum ScenarioError {
     /// infinite — each of which would silently disable or corrupt the
     /// capacity budget instead of modelling a real link.
     InvalidCapacity { chain: usize, value: f64 },
+    /// A [`SimConfig`] field is out of range (see [`SimConfig::validate`]).
+    InvalidSimConfig { field: &'static str, value: f64 },
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -156,6 +179,9 @@ impl std::fmt::Display for ScenarioError {
                 f,
                 "capacity_bps[{chain}] = {value} is not a positive finite rate"
             ),
+            ScenarioError::InvalidSimConfig { field, value } => {
+                write!(f, "sim config {field} = {value} is out of range")
+            }
         }
     }
 }
@@ -452,43 +478,6 @@ impl Testbed {
         })
     }
 
-    /// Build from a placement, compiling the deployment internally with an
-    /// explicit server runtime mode: `RuntimeMode::Reference` keeps the
-    /// per-NF trait-object path (the reference semantics), while
-    /// `RuntimeMode::Fused` compiles each server subgroup into a fused
-    /// batch-sweep segment. Both modes are bit-identical in observable
-    /// behaviour (enforced by `tests/fused_equivalence.rs`); fused trades
-    /// vtable dispatch and repeated header parses for a static-dispatch
-    /// sweep.
-    pub fn build_with_mode(
-        problem: &PlacementProblem,
-        placement: &EvaluatedPlacement,
-        mode: RuntimeMode,
-    ) -> Result<Testbed, BuildError> {
-        let deployment = match mode {
-            RuntimeMode::Reference => lemur_metacompiler::compile(problem, placement),
-            RuntimeMode::Fused => lemur_metacompiler::compile_fused(problem, placement),
-        }
-        .map_err(|e| BuildError::Compile(e.to_string()))?;
-        Testbed::build(problem, placement, deployment)
-    }
-
-    /// `(fused replicas, total replicas)` across all servers — lets tests
-    /// and benches assert which runtime a testbed actually executes.
-    pub fn runtime_census(&self) -> (usize, usize) {
-        let mut fused = 0;
-        let mut total = 0;
-        for server in self.servers.iter().flatten() {
-            for inst in &server.pipeline.instances {
-                total += 1;
-                if inst.runtime.is_fused() {
-                    fused += 1;
-                }
-            }
-        }
-        (fused, total)
-    }
-
     /// Run the workload. `specs` must be index-aligned with the problem's
     /// chains (and the chains' aggregates must match the specs' prefixes —
     /// classification happens in the generated P4).
@@ -590,6 +579,7 @@ impl Testbed {
         mode: &HybridMode,
         hook: &mut dyn ControlHook,
     ) -> Result<SimReport, ScenarioError> {
+        config.validate()?;
         if let HybridMode::Hybrid(hc) = mode {
             hc.validate()?;
         }
@@ -631,7 +621,7 @@ impl Testbed {
                 plan: scenario.tail_plan(
                     hc.heavy_min_packets,
                     warmup_ns,
-                    config.window_ns.max(1),
+                    config.window_ns,
                     &frame_bytes,
                 ),
                 frame_bytes,
@@ -1415,51 +1405,6 @@ impl Testbed {
                 .map(|t| t.backlog.iter().sum::<u64>())
                 .unwrap_or(0);
 
-        if std::env::var("LEMUR_DBG").is_ok() {
-            eprintln!(
-                "END tor_out backlog={}us",
-                self.tor_out.free_at.saturating_sub(horizon_ns) / 1000
-            );
-            for (s, st) in self.tor_to_server.iter().enumerate() {
-                eprintln!(
-                    "END tor_to_server[{s}] backlog={}us",
-                    st.free_at.saturating_sub(horizon_ns) / 1000
-                );
-            }
-            for (s, st) in self.server_to_tor.iter().enumerate() {
-                eprintln!(
-                    "END server_to_tor[{s}] backlog={}us",
-                    st.free_at.saturating_sub(horizon_ns) / 1000
-                );
-            }
-            for (s, srv) in self.servers.iter().enumerate() {
-                if let Some(srv) = srv {
-                    eprintln!(
-                        "END demux[{s}] backlog={}us unmatched={}",
-                        srv.demux.free_at.saturating_sub(horizon_ns) / 1000,
-                        srv.pipeline.demux.unmatched
-                    );
-                    let mut cores: Vec<_> = srv.cores.iter().collect();
-                    cores.sort_by_key(|(c, _)| **c);
-                    for (c, st) in cores {
-                        eprintln!(
-                            "END core[{c}] backlog={}us",
-                            st.free_at.saturating_sub(horizon_ns) / 1000
-                        );
-                    }
-                    for inst in &srv.pipeline.instances {
-                        eprintln!(
-                            "END inst sg{} r{} core{} in={} nf_drops={}",
-                            inst.subgroup_idx,
-                            inst.replica,
-                            inst.core,
-                            inst.runtime.packets_in(),
-                            inst.runtime.packets_dropped()
-                        );
-                    }
-                }
-            }
-        }
         // Finalize rates. The latency mean divides by the count of
         // *latency-carrying* deliveries (identical to delivered_packets
         // in pure packet-level runs).
@@ -2093,14 +2038,6 @@ fn drop_packet(
         // The ledger is unconditional — every injected packet lands in
         // exactly one bucket regardless of warmup windows.
         ledger.record_drop(reason);
-        if std::env::var("LEMUR_DBG").is_ok() {
-            eprintln!(
-                "DROP chain={} hops={} t_in={}us reason={reason:?}",
-                p.chain,
-                p.hops,
-                p.t_in / 1000
-            );
-        }
         if p.t_in >= warmup_ns && p.t_in < horizon_ns {
             stats[p.chain].record_drop(reason);
             window_acc[p.chain].drops += 1;
@@ -2527,5 +2464,81 @@ mod tests {
         let lat = report.per_chain[0].mean_latency_ns;
         assert!(lat > 15_000.0, "latency {lat}ns implausibly low");
         assert!(lat < 3_000_000.0, "latency {lat}ns implausibly high");
+    }
+
+    #[test]
+    fn bad_sim_config_is_a_typed_error() {
+        use crate::flowsim::{ChainLoad, FlowSizeDist, ScenarioSpec};
+        let (p, e, specs) = setup(&[CanonicalChain::Chain3], 0.5);
+        let good = quick();
+        let scenario = ScenarioSpec {
+            seed: 3,
+            horizon_ns: ((good.warmup_s + good.duration_s) * 1e9) as u64,
+            chains: vec![ChainLoad {
+                flows: 8,
+                flow_rate_pps: 400_000.0,
+                size: FlowSizeDist {
+                    alpha: 1.3,
+                    min_packets: 1,
+                    max_packets: 16,
+                },
+                diurnal: None,
+                surges: vec![],
+            }],
+        }
+        .materialize();
+        let bad = [
+            SimConfig {
+                duration_s: f64::NAN,
+                ..good
+            },
+            SimConfig {
+                duration_s: -0.004,
+                ..good
+            },
+            SimConfig {
+                duration_s: 0.0,
+                ..good
+            },
+            SimConfig {
+                warmup_s: f64::NAN,
+                ..good
+            },
+            SimConfig {
+                warmup_s: -0.001,
+                ..good
+            },
+            SimConfig {
+                duration_s: f64::INFINITY,
+                ..good
+            },
+            SimConfig {
+                duration_s: 1e12,
+                ..good
+            },
+            SimConfig {
+                window_ns: 0,
+                ..good
+            },
+        ];
+        for mode in [
+            HybridMode::PacketLevel,
+            HybridMode::Hybrid(HybridConfig::default()),
+        ] {
+            for config in bad {
+                let dep = lemur_metacompiler::compile(&p, &e).unwrap();
+                let mut tb = Testbed::build(&p, &e, dep).unwrap();
+                let err = tb
+                    .run_scenario(&scenario, &specs, config, &mode)
+                    .expect_err("bad config must be refused");
+                assert!(
+                    matches!(err, ScenarioError::InvalidSimConfig { .. }),
+                    "{config:?}: {err}"
+                );
+            }
+            let dep = lemur_metacompiler::compile(&p, &e).unwrap();
+            let mut tb = Testbed::build(&p, &e, dep).unwrap();
+            assert!(tb.run_scenario(&scenario, &specs, good, &mode).is_ok());
+        }
     }
 }

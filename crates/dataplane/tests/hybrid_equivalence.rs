@@ -24,8 +24,8 @@ use lemur_core::chains::{canonical_chain, CanonicalChain};
 use lemur_core::graph::ChainSpec;
 use lemur_core::Slo;
 use lemur_dataplane::{
-    ChainLoad, FlowSizeDist, HybridConfig, HybridMode, RuntimeMode, Scenario, ScenarioSpec,
-    SimConfig, SimReport, Surge, SurgeKind, Testbed, TrafficSpec,
+    ChainLoad, FlowSizeDist, HybridConfig, HybridMode, Scenario, ScenarioSpec, SimConfig,
+    SimReport, Surge, SurgeKind, Testbed, TrafficSpec,
 };
 use lemur_nf::NfKind;
 use lemur_placer::corealloc::CoreStrategy;
@@ -112,6 +112,10 @@ fn obs_by_node(tb: &Testbed) -> NodeObservables {
     m
 }
 
+fn testbed(p: &PlacementProblem, e: &EvaluatedPlacement) -> Testbed {
+    Testbed::build(p, e, lemur_metacompiler::compile(p, e).unwrap()).unwrap()
+}
+
 fn run_mode(
     p: &PlacementProblem,
     e: &EvaluatedPlacement,
@@ -119,7 +123,7 @@ fn run_mode(
     scenario: &Scenario,
     mode: &HybridMode,
 ) -> (SimReport, NodeObservables) {
-    let mut tb = Testbed::build_with_mode(p, e, RuntimeMode::Fused).unwrap();
+    let mut tb = testbed(p, e);
     let slos = vec![None; specs.len()];
     let report = tb
         .run_scenario_supervised(
@@ -288,7 +292,7 @@ fn invalid_capacity_is_a_typed_error() {
     let (p, e, specs) = setup(&[CanonicalChain::Chain1]);
     let scenario = small_scenario(1, 5, 10, 16).materialize();
     for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-        let mut tb = Testbed::build_with_mode(&p, &e, RuntimeMode::Fused).unwrap();
+        let mut tb = testbed(&p, &e);
         let err = tb
             .run_scenario(
                 &scenario,
@@ -301,7 +305,9 @@ fn invalid_capacity_is_a_typed_error() {
                 }),
             )
             .expect_err("bad capacity must be refused");
-        let lemur_dataplane::ScenarioError::InvalidCapacity { chain, value } = err;
+        let lemur_dataplane::ScenarioError::InvalidCapacity { chain, value } = err else {
+            panic!("expected InvalidCapacity, got {err}");
+        };
         assert_eq!(chain, 0);
         assert!(value == bad || (value.is_nan() && bad.is_nan()));
     }

@@ -13,14 +13,12 @@
 //!   enforcement);
 //! * a textual BESS script for the LoC accounting.
 
-use crate::fuse::{FusedSegment, NfRuntime, RuntimeMode};
 use crate::routing::{Location, RoutingPlan};
 use lemur_bess::demux::{Demux, DemuxKey};
 use lemur_bess::scheduler::{SchedulerTree, TaskId};
 use lemur_bess::subgroup::Subgroup;
 use lemur_core::graph::NodeId;
 use lemur_nf::build_nf;
-use lemur_nf::fused::FusedNf;
 use lemur_placer::placement::{EvaluatedPlacement, PlacementProblem};
 use std::collections::HashMap;
 
@@ -29,7 +27,7 @@ pub struct SubgroupInstance {
     pub subgroup_idx: usize,
     pub replica: usize,
     pub core: usize,
-    pub runtime: NfRuntime,
+    pub runtime: Subgroup,
 }
 
 /// How a packet leaves a subgroup.
@@ -62,24 +60,11 @@ pub struct ServerPipeline {
     pub script: String,
 }
 
-/// Generate pipelines for every server with placed work, using the
-/// reference per-NF runtime.
+/// Generate pipelines for every server with placed work.
 pub fn generate(
     problem: &PlacementProblem,
     placement: &EvaluatedPlacement,
     routing: &RoutingPlan,
-) -> Vec<ServerPipeline> {
-    generate_with_mode(problem, placement, routing, RuntimeMode::Reference)
-}
-
-/// Generate pipelines with an explicit runtime mode: `Reference` emits
-/// per-NF `Subgroup` runtimes, `Fused` compiles each subgroup into a
-/// [`FusedSegment`] sweep (see [`crate::fuse`]).
-pub fn generate_with_mode(
-    problem: &PlacementProblem,
-    placement: &EvaluatedPlacement,
-    routing: &RoutingPlan,
-    mode: RuntimeMode,
 ) -> Vec<ServerPipeline> {
     let mut pipelines = Vec::new();
     for server in 0..problem.topology.servers.len() {
@@ -132,12 +117,13 @@ pub fn generate_with_mode(
             let (Some(&head), Some(&tail)) = (sg.nodes.first(), sg.nodes.last()) else {
                 continue;
             };
-            // Each replica gets a fresh-state runtime built from the same
-            // node specs (equivalent to building a prototype and calling
-            // `clone_fresh`, for either runtime mode).
             let name = format!("c{}_sg_{}", sg.chain, chain.graph.node(head).name);
-            let make_runtime = || match mode {
-                RuntimeMode::Reference => NfRuntime::Boxed(Subgroup::new(
+            for r in 0..sg.cores {
+                let core = 1 + (next_core % worker_cores.max(1));
+                next_core += 1;
+                // Each replica gets a fresh-state subgroup built from the
+                // same node specs.
+                let runtime = Subgroup::new(
                     &name,
                     sg.nodes
                         .iter()
@@ -146,22 +132,7 @@ pub fn generate_with_mode(
                             build_nf(n.kind, &n.params)
                         })
                         .collect(),
-                )),
-                RuntimeMode::Fused => NfRuntime::Fused(FusedSegment::new(
-                    &name,
-                    sg.nodes
-                        .iter()
-                        .map(|id| {
-                            let n = chain.graph.node(*id);
-                            FusedNf::build(n.kind, &n.params)
-                        })
-                        .collect(),
-                )),
-            };
-            for r in 0..sg.cores {
-                let core = 1 + (next_core % worker_cores.max(1));
-                next_core += 1;
-                let runtime = make_runtime();
+                );
                 let inst_idx = instances.len();
                 instances.push(SubgroupInstance {
                     subgroup_idx: si,

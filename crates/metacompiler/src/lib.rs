@@ -30,14 +30,12 @@
 
 pub mod bessgen;
 pub mod ebpfgen;
-pub mod fuse;
 pub mod loc;
 pub mod ofgen;
 pub mod oracle;
 pub mod p4gen;
 pub mod routing;
 
-pub use fuse::{FusedSegment, NfRuntime, RuntimeMode};
 pub use oracle::{CachedCompilerOracle, CompilerOracle};
 pub use p4gen::{P4GenOptions, SynthesizedP4};
 pub use routing::{Location, PathRoute, RoutingPlan, Segment};
@@ -73,28 +71,12 @@ impl std::fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// Run the full meta-compilation pipeline (reference server runtime).
+/// Run the full meta-compilation pipeline.
 pub fn compile(
     problem: &PlacementProblem,
     placement: &EvaluatedPlacement,
 ) -> Result<Deployment, CompileError> {
     compile_with_options(problem, placement, P4GenOptions::default())
-}
-
-/// Full pipeline with server subgroups compiled into fused batch-sweep
-/// segments (see [`fuse`]). Routing, P4, and eBPF outputs are identical to
-/// [`compile`]; only the server runtime representation changes.
-pub fn compile_fused(
-    problem: &PlacementProblem,
-    placement: &EvaluatedPlacement,
-) -> Result<Deployment, CompileError> {
-    compile_inner_with_mode(
-        problem,
-        placement,
-        P4GenOptions::default(),
-        None,
-        RuntimeMode::Fused,
-    )
 }
 
 /// Full pipeline with explicit P4 generation options (used by the stage
@@ -126,26 +108,10 @@ fn compile_inner(
     p4_options: P4GenOptions,
     spi_bases: Option<&[u32]>,
 ) -> Result<Deployment, CompileError> {
-    compile_inner_with_mode(
-        problem,
-        placement,
-        p4_options,
-        spi_bases,
-        RuntimeMode::Reference,
-    )
-}
-
-fn compile_inner_with_mode(
-    problem: &PlacementProblem,
-    placement: &EvaluatedPlacement,
-    p4_options: P4GenOptions,
-    spi_bases: Option<&[u32]>,
-    mode: RuntimeMode,
-) -> Result<Deployment, CompileError> {
     let routing = routing::plan_with_spi_bases(problem, &placement.assignment, spi_bases);
     let p4 = p4gen::synthesize(problem, &placement.assignment, &routing, p4_options)
         .map_err(CompileError::P4)?;
-    let bess = bessgen::generate_with_mode(problem, placement, &routing, mode);
+    let bess = bessgen::generate(problem, placement, &routing);
     let ebpf = ebpfgen::generate(problem, placement, &routing).map_err(CompileError::Ebpf)?;
     let stats = loc::account(problem, &p4, &bess, &ebpf);
     Ok(Deployment {

@@ -77,11 +77,9 @@ impl Acl {
         self.rules.len()
     }
 
-    /// The verdict for an already-parsed 5-tuple (`None` = unclassifiable
-    /// traffic, which the ACL drops). Shared by [`NetworkFunction::process`]
-    /// and the fused dataplane's parse-once path, so the two agree by
-    /// construction.
-    pub(crate) fn verdict_for(&self, tuple: Option<&FiveTuple>) -> Verdict {
+    /// The verdict for a parsed 5-tuple (`None` = unclassifiable traffic,
+    /// which the ACL drops).
+    fn verdict_for(&self, tuple: Option<&FiveTuple>) -> Verdict {
         let Some(tuple) = tuple else {
             return Verdict::Drop;
         };

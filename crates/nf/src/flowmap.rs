@@ -1,13 +1,9 @@
 //! Open-addressing flow table keyed by [`FiveTuple`].
 //!
-//! The per-flow NFs (Monitor, and the fused dataplane's classifier memo)
-//! sit on the per-packet fast path, where a comparison-based `BTreeMap`
-//! descent costs several cache misses per packet. [`FlowMap`] is a linear-
-//! probing hash table with a cheap multiply-mix key hash that callers can
-//! compute once per packet and reuse across every table that packet
-//! touches (`*_hashed` entry points) — the fused dataplane parses *and*
-//! hashes once per packet, then probes the classifier memo and the
-//! Monitor's flow table with the same hash.
+//! The Monitor NF's flow table sits on the per-packet fast path, where a
+//! comparison-based `BTreeMap` descent costs several cache misses per
+//! packet. [`FlowMap`] is a linear-probing hash table with a cheap
+//! multiply-mix key hash.
 //!
 //! Iteration order is unspecified; [`FlowMap::sorted_entries`] yields
 //! key-ordered entries so snapshots and state fingerprints stay canonical
@@ -20,7 +16,7 @@ use lemur_packet::flow::FiveTuple;
 /// byte-at-a-time loop, since this runs once per packet. Stable across
 /// platforms — it feeds table placement only, never serialized state.
 #[inline]
-pub fn tuple_hash(t: &FiveTuple) -> u64 {
+fn tuple_hash(t: &FiveTuple) -> u64 {
     const M: u64 = 0x9e37_79b9_7f4a_7c15;
     let a = ((t.src_ip.to_u32() as u64) << 32) | t.dst_ip.to_u32() as u64;
     let b = ((t.src_port as u64) << 40) | ((t.dst_port as u64) << 24) | ((t.protocol as u64) << 16);
@@ -39,8 +35,8 @@ struct Slot<V> {
     value: V,
 }
 
-/// Linear-probing hash map from [`FiveTuple`] to `V` with precomputed-hash
-/// entry points. Capacity is a power of two; the table grows at 7/8 load.
+/// Linear-probing hash map from [`FiveTuple`] to `V`. Capacity is a power
+/// of two; the table grows at 7/8 load.
 #[derive(Debug, Clone)]
 pub struct FlowMap<V> {
     slots: Vec<Option<Slot<V>>>,
@@ -72,14 +68,6 @@ impl<V> FlowMap<V> {
         self.len == 0
     }
 
-    /// Drop every entry, keeping the allocation.
-    pub fn clear(&mut self) {
-        for s in &mut self.slots {
-            *s = None;
-        }
-        self.len = 0;
-    }
-
     #[inline]
     fn mask(&self) -> usize {
         self.slots.len() - 1
@@ -108,12 +96,13 @@ impl<V> FlowMap<V> {
         }
     }
 
-    /// Look up with a precomputed [`tuple_hash`].
+    /// Look up `key`.
     #[inline]
-    pub fn get_hashed(&self, hash: u64, key: &FiveTuple) -> Option<&V> {
+    pub fn get(&self, key: &FiveTuple) -> Option<&V> {
         if self.slots.is_empty() {
             return None;
         }
+        let hash = tuple_hash(key);
         let mask = self.mask();
         let mut i = (hash as usize) & mask;
         loop {
@@ -125,20 +114,15 @@ impl<V> FlowMap<V> {
         }
     }
 
-    /// Look up, hashing the key.
-    pub fn get(&self, key: &FiveTuple) -> Option<&V> {
-        self.get_hashed(tuple_hash(key), key)
-    }
-
-    /// Entry-style upsert with a precomputed hash: returns the value for
-    /// `key`, inserting `default()` first when absent.
+    /// Entry-style upsert: returns the value for `key`, inserting
+    /// `default()` first when absent.
     #[inline]
-    pub fn get_mut_or_insert_with_hashed(
+    pub fn get_mut_or_insert_with(
         &mut self,
-        hash: u64,
         key: &FiveTuple,
         default: impl FnOnce() -> V,
     ) -> &mut V {
+        let hash = tuple_hash(key);
         if self.slots.is_empty() || self.len + 1 > self.slots.len() - self.slots.len() / 8 {
             self.grow();
         }
@@ -166,15 +150,6 @@ impl<V> FlowMap<V> {
             .as_mut()
             .map(|s| &mut s.value)
             .expect("slot just resolved")
-    }
-
-    /// Entry-style upsert, hashing the key.
-    pub fn get_mut_or_insert_with(
-        &mut self,
-        key: &FiveTuple,
-        default: impl FnOnce() -> V,
-    ) -> &mut V {
-        self.get_mut_or_insert_with_hashed(tuple_hash(key), key, default)
     }
 
     /// Unordered iteration over entries.
@@ -239,16 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn hashed_entry_points_match_plain_ones() {
-        let mut m: FlowMap<&'static str> = FlowMap::new();
-        let key = t(7);
-        let h = tuple_hash(&key);
-        m.get_mut_or_insert_with_hashed(h, &key, || "v");
-        assert_eq!(m.get_hashed(h, &key), Some(&"v"));
-        assert_eq!(m.get(&key), Some(&"v"));
-    }
-
-    #[test]
     fn sorted_entries_are_key_ordered() {
         let mut m: FlowMap<u32> = FlowMap::new();
         for i in [9u8, 3, 200, 1, 45] {
@@ -262,7 +227,7 @@ mod tests {
     }
 
     #[test]
-    fn retain_and_clear() {
+    fn retain_keeps_probe_chains() {
         let mut m: FlowMap<u8> = FlowMap::new();
         for i in 0..50u8 {
             m.get_mut_or_insert_with(&t(i), || i);
@@ -275,8 +240,5 @@ mod tests {
         for i in (0..50u8).step_by(2) {
             assert!(m.get(&t(i)).is_some());
         }
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.get(&t(4)), None);
     }
 }

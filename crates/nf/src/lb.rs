@@ -114,11 +114,9 @@ impl LoadBalancer {
         idx
     }
 
-    /// Steer a packet whose 5-tuple was already parsed (`None` =
-    /// unclassifiable, dropped). Shared by [`NetworkFunction::process`] and
-    /// the fused parse-once path. Rewrites the destination IP/MAC and
-    /// checksums, so it invalidates any cached parse of `pkt`.
-    pub(crate) fn steer(&mut self, pkt: &mut PacketBuf, tuple: Option<&FiveTuple>) -> Verdict {
+    /// Steer a packet by its parsed 5-tuple (`None` = unclassifiable,
+    /// dropped). Rewrites the destination IP/MAC and checksums.
+    fn steer(&mut self, pkt: &mut PacketBuf, tuple: Option<&FiveTuple>) -> Verdict {
         let Some(tuple) = tuple else {
             return Verdict::Drop;
         };

@@ -29,7 +29,6 @@ pub mod crypto;
 pub mod dedup;
 pub mod encrypt;
 pub mod flowmap;
-pub mod fused;
 pub mod fwd;
 pub mod lb;
 pub mod limiter;

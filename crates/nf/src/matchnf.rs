@@ -131,23 +131,14 @@ impl Match {
         }
     }
 
-    /// Classify against an already-parsed 5-tuple. Shared by
-    /// [`NetworkFunction::process`] and the fused parse-once path.
-    pub(crate) fn classify(&self, pkt: &PacketBuf, tuple: Option<&FiveTuple>) -> Verdict {
+    /// Classify against the packet's parsed 5-tuple.
+    fn classify(&self, pkt: &PacketBuf, tuple: Option<&FiveTuple>) -> Verdict {
         for e in &self.entries {
             if e.matches(pkt, tuple, self.salt) {
                 return Verdict::Gate(e.gate);
             }
         }
         Verdict::Gate(self.default_gate)
-    }
-
-    /// True when classification reads nothing but the 5-tuple: no entry
-    /// filters on the VLAN tag, so [`Match::classify`] is a pure function
-    /// of the parsed tuple and the fused dataplane may memoize it per
-    /// flow.
-    pub(crate) fn is_tuple_pure(&self) -> bool {
-        self.entries.iter().all(|e| e.vlan_tag.is_none())
     }
 
     /// Number of distinct output gates referenced.

@@ -1,6 +1,6 @@
 //! Monitor NF: per-flow statistics (Table 3).
 
-use crate::flowmap::{tuple_hash, FlowMap};
+use crate::flowmap::FlowMap;
 use crate::snapshot::{Decoder, Encoder};
 use crate::{
     AggregateObservables, AggregateOutcome, AggregateUpdate, NetworkFunction, NfCtx, NfKind,
@@ -74,28 +74,18 @@ impl Monitor {
         before - self.flows.len()
     }
 
-    /// Account one packet against an already-parsed 5-tuple (`None` goes to
-    /// the "other" bucket). Shared by [`NetworkFunction::process`] and the
-    /// fused parse-once path.
-    pub(crate) fn record(&mut self, now_ns: u64, len: u64, tuple: Option<&FiveTuple>) {
-        match tuple {
-            Some(tuple) => self.record_hashed(now_ns, len, tuple, tuple_hash(tuple)),
-            None => {
-                self.other_packets += 1;
-                self.other_bytes += len;
-            }
-        }
-    }
-
-    /// [`Monitor::record`] with a precomputed [`tuple_hash`] — the fused
-    /// dataplane hashes each packet's tuple once and reuses it here.
-    pub(crate) fn record_hashed(&mut self, now_ns: u64, len: u64, tuple: &FiveTuple, hash: u64) {
-        let s = self
-            .flows
-            .get_mut_or_insert_with_hashed(hash, tuple, || FlowStats {
-                first_seen_ns: now_ns,
-                ..FlowStats::default()
-            });
+    /// Account one packet against its parsed 5-tuple (`None` goes to the
+    /// "other" bucket).
+    fn record(&mut self, now_ns: u64, len: u64, tuple: Option<&FiveTuple>) {
+        let Some(tuple) = tuple else {
+            self.other_packets += 1;
+            self.other_bytes += len;
+            return;
+        };
+        let s = self.flows.get_mut_or_insert_with(tuple, || FlowStats {
+            first_seen_ns: now_ns,
+            ..FlowStats::default()
+        });
         s.packets += 1;
         s.bytes += len;
         s.last_seen_ns = now_ns;

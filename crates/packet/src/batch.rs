@@ -77,21 +77,6 @@ impl PacketBuf {
         &mut self.storage[self.start..]
     }
 
-    /// Overwrite this packet's frame with `src`'s frame, reusing the
-    /// existing allocation whenever it is large enough. This is the
-    /// buffer-recycle primitive: a steady-state dataplane refreshes a
-    /// fixed ring of buffers instead of allocating fresh ones per packet.
-    /// All slack beyond the frame is kept as headroom.
-    pub fn copy_frame_from(&mut self, src: &PacketBuf) {
-        let n = src.len();
-        let need = DEFAULT_HEADROOM + n;
-        if self.storage.len() < need {
-            self.storage.resize(need, 0);
-        }
-        self.start = self.storage.len() - n;
-        self.storage[self.start..].copy_from_slice(src.as_slice());
-    }
-
     /// Prepend `bytes` to the frame. Falls back to reallocating when the
     /// existing headroom is exhausted, growing the headroom geometrically
     /// (at least doubling total storage) so a sequence of `push_front`
@@ -114,30 +99,21 @@ impl PacketBuf {
 
     /// Remove `n` bytes from the front of the frame without copying them
     /// anywhere: the bytes are reclaimed as headroom. This is the
-    /// allocation-free decap primitive (the fused dataplane's steady state
-    /// never allocates). Panics if the frame is shorter than `n`.
+    /// allocation-free decap primitive. Panics if the frame is shorter
+    /// than `n`.
     pub fn advance_front(&mut self, n: usize) {
         assert!(n <= self.len(), "pull_front past end of frame");
         self.start += n;
     }
 
-    /// Remove `n` bytes from the front of the frame into a caller-provided
-    /// scratch buffer (cleared first; capacity is reused across calls).
-    /// Panics if the frame is shorter than `n`.
-    pub fn pull_front_into(&mut self, n: usize, scratch: &mut Vec<u8>) {
-        assert!(n <= self.len(), "pull_front past end of frame");
-        scratch.clear();
-        scratch.extend_from_slice(&self.storage[self.start..self.start + n]);
-        self.start += n;
-    }
-
     /// Remove `n` bytes from the front of the frame, returning them as an
-    /// owned vector. Compatibility wrapper over [`PacketBuf::pull_front_into`];
-    /// prefer that (or [`PacketBuf::advance_front`]) on hot paths — this
-    /// form allocates per call.
+    /// owned vector. Prefer [`PacketBuf::advance_front`] on hot paths —
+    /// this form allocates per call. Panics if the frame is shorter than
+    /// `n`.
     pub fn pull_front(&mut self, n: usize) -> Vec<u8> {
-        let mut removed = Vec::new();
-        self.pull_front_into(n, &mut removed);
+        assert!(n <= self.len(), "pull_front past end of frame");
+        let removed = self.storage[self.start..self.start + n].to_vec();
+        self.start += n;
         removed
     }
 
@@ -172,22 +148,13 @@ impl PacketBuf {
         self.start += len;
     }
 
-    /// [`PacketBuf::remove_at_discard`], copying the removed bytes into a
-    /// caller-provided scratch buffer first (cleared; capacity reused).
-    pub fn remove_at_into(&mut self, offset: usize, len: usize, scratch: &mut Vec<u8>) {
-        assert!(offset + len <= self.len(), "remove_at past end of frame");
-        scratch.clear();
-        scratch.extend_from_slice(&self.storage[self.start + offset..self.start + offset + len]);
-        self.remove_at_discard(offset, len);
-    }
-
     /// Remove `len` bytes starting at `offset`, returning them as an owned
-    /// vector. Compatibility wrapper over [`PacketBuf::remove_at_into`];
-    /// prefer that (or [`PacketBuf::remove_at_discard`]) on hot paths —
-    /// this form allocates per call.
+    /// vector. Prefer [`PacketBuf::remove_at_discard`] on hot paths — this
+    /// form allocates per call.
     pub fn remove_at(&mut self, offset: usize, len: usize) -> Vec<u8> {
-        let mut removed = Vec::new();
-        self.remove_at_into(offset, len, &mut removed);
+        assert!(offset + len <= self.len(), "remove_at past end of frame");
+        let removed = self.storage[self.start + offset..self.start + offset + len].to_vec();
+        self.remove_at_discard(offset, len);
         removed
     }
 
@@ -251,11 +218,6 @@ impl Batch {
     /// Iterate mutably over packets.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut PacketBuf> {
         self.packets.iter_mut()
-    }
-
-    /// The packets as a mutable slice (random access for NF-major sweeps).
-    pub fn as_mut_slice(&mut self) -> &mut [PacketBuf] {
-        &mut self.packets
     }
 
     /// Drain all packets out of the batch.
@@ -346,19 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn pull_front_into_reuses_scratch() {
-        let mut p = PacketBuf::from_bytes(b"hdr:payload");
-        let mut scratch = Vec::with_capacity(16);
-        p.pull_front_into(4, &mut scratch);
-        assert_eq!(scratch, b"hdr:");
-        assert_eq!(p.as_slice(), b"payload");
-        // Scratch is cleared, not appended to.
-        let mut q = PacketBuf::from_bytes(b"ab-rest");
-        q.pull_front_into(3, &mut scratch);
-        assert_eq!(scratch, b"ab-");
-    }
-
-    #[test]
     fn advance_front_reclaims_headroom() {
         let mut p = PacketBuf::from_bytes(b"ETHNSHinner");
         let head = p.headroom();
@@ -368,33 +317,13 @@ mod tests {
     }
 
     #[test]
-    fn remove_at_discard_and_into() {
+    fn remove_at_and_discard() {
         let mut p = PacketBuf::from_bytes(b"AAAAAAAAAAAATAG!rest");
-        let mut scratch = Vec::new();
-        p.remove_at_into(12, 4, &mut scratch);
-        assert_eq!(scratch, b"TAG!");
+        assert_eq!(p.remove_at(12, 4), b"TAG!");
         assert_eq!(p.as_slice(), b"AAAAAAAAAAAArest");
         let mut q = PacketBuf::from_bytes(b"AAAAAAAAAAAATAG!rest");
         q.remove_at_discard(12, 4);
         assert_eq!(q.as_slice(), b"AAAAAAAAAAAArest");
-    }
-
-    #[test]
-    fn copy_frame_from_reuses_allocation() {
-        let template = PacketBuf::from_bytes(&[1, 2, 3, 4, 5, 6, 7, 8]);
-        let mut buf = PacketBuf::from_bytes(&[9; 200]);
-        let cap = buf.storage.capacity();
-        // Drain the buffer's headroom so the recycle must restore it.
-        buf.advance_front(100);
-        buf.copy_frame_from(&template);
-        assert_eq!(buf, template);
-        assert_eq!(buf.storage.capacity(), cap, "recycle reallocated");
-        assert!(buf.headroom() >= DEFAULT_HEADROOM);
-        // Growing into a too-small buffer still produces the right frame.
-        let mut tiny = PacketBuf::from_bytes(&[]);
-        tiny.copy_frame_from(&template);
-        assert_eq!(tiny, template);
-        assert!(tiny.headroom() >= DEFAULT_HEADROOM);
     }
 
     #[test]
