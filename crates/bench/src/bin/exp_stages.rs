@@ -9,11 +9,8 @@
 //!   10-NAT program balloons (paper: 27 stages);
 //! * Lemur handles the 11-NAT chain by placing one NAT on the server.
 //!
-//! The four chain lengths are independent, so they fan out over the
-//! deterministic worker pool; each N's report lines are preformatted in
-//! the worker and printed in N order afterwards, so the output is
-//! identical at any `LEMUR_WORKERS` setting. The memoized compiler
-//! oracles are shared across the fan-out.
+//! The four chain lengths run in N order. The memoized compiler oracles
+//! are shared across them.
 
 use lemur_bench::write_json;
 use lemur_core::chains::extreme_nat_chain;
@@ -21,7 +18,6 @@ use lemur_core::graph::ChainSpec;
 use lemur_core::Slo;
 use lemur_metacompiler::{p4gen, routing, CachedCompilerOracle};
 use lemur_placer::oracle::{StageOracle, StageVerdict};
-use lemur_placer::parallel::{parallel_map, Workers};
 use lemur_placer::placement::PlacementProblem;
 use lemur_placer::profiles::{NfProfiles, Platform};
 use lemur_placer::topology::Topology;
@@ -42,14 +38,12 @@ fn problem(n: usize) -> PlacementProblem {
     p
 }
 
-/// Everything one chain length produces: the JSON summary tuple plus the
-/// two report lines, assembled inside the worker.
-struct NatRun {
-    summary: (usize, String, usize, usize),
-    lines: [String; 2],
-}
-
-fn run_one(n: usize, oracle: &CachedCompilerOracle, naive: &CachedCompilerOracle) -> NatRun {
+/// Print one chain length's two report lines and return its JSON summary.
+fn run_one(
+    n: usize,
+    oracle: &CachedCompilerOracle,
+    naive: &CachedCompilerOracle,
+) -> (usize, String, usize, usize) {
     let p = problem(n);
     let hw = lemur_placer::baselines::hw_preferred_assignment(&p);
 
@@ -71,7 +65,7 @@ fn run_one(n: usize, oracle: &CachedCompilerOracle, naive: &CachedCompilerOracle
         StageVerdict::Fits { stages } => format!("{stages} (fits)"),
         StageVerdict::OutOfStages { required, .. } => format!("{required} (OVERFLOW)"),
     };
-    let line0 = format!(
+    println!(
         "  {n:>2} NATs all-switch: compiled {compiled_str:>15}, analytic estimate {estimate:>2}, naive codegen {naive_stages:>2}"
     );
 
@@ -92,7 +86,7 @@ fn run_one(n: usize, oracle: &CachedCompilerOracle, naive: &CachedCompilerOracle
                 .count()
         })
         .unwrap_or(0);
-    let line1 = format!(
+    println!(
         "      Lemur: {} ({} NAT(s) moved to server) | HW Preferred: {} | SW Preferred: {}",
         lemur
             .as_ref()
@@ -106,10 +100,7 @@ fn run_one(n: usize, oracle: &CachedCompilerOracle, naive: &CachedCompilerOracle
             .map(|_| "feasible".to_string())
             .unwrap_or_else(|e| format!("infeasible ({e})")),
     );
-    NatRun {
-        summary: (n, compiled_str, estimate, naive_stages),
-        lines: [line0, line1],
-    }
+    (n, compiled_str, estimate, naive_stages)
 }
 
 fn main() {
@@ -117,15 +108,7 @@ fn main() {
     let oracle = CachedCompilerOracle::new();
     let naive = CachedCompilerOracle::naive();
     let ns = [9usize, 10, 11, 12];
-    let runs = parallel_map(Workers::from_env(), &ns, |_, &n| {
-        run_one(n, &oracle, &naive)
-    });
-    let mut summary = Vec::new();
-    for run in runs {
-        println!("{}", run.lines[0]);
-        println!("{}", run.lines[1]);
-        summary.push(run.summary);
-    }
+    let summary: Vec<_> = ns.iter().map(|&n| run_one(n, &oracle, &naive)).collect();
     write_json("stages", &summary);
     println!("\nPaper shape: 10 NATs fit (12 stages; conservative estimate 14; naive 27);");
     println!("11 NATs overflow, and only Lemur finds a feasible mixed placement.");

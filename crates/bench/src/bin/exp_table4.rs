@@ -6,17 +6,12 @@
 //! properties the evaluation relies on are what must reproduce: stability
 //! (worst case within a few % of the mean) and a small NUMA penalty.
 //!
-//! The per-NF profiles are independent single-threaded loops, so they fan
-//! out over the worker pool (one NF per worker core; the pool clamps to
-//! the machine's parallelism, so concurrent profiles run on separate
-//! cores and per-core cycle timing is not perturbed). Ordered reduction
-//! prints rows in the paper's order. Set `LEMUR_WORKERS=1` for a fully
-//! serialized, lowest-noise run.
+//! The per-NF profiles run one after another on one core, so no profile
+//! perturbs another's cycle timing. Rows print in the paper's order.
 
 use lemur_bench::write_json;
 use lemur_bess::{profile_nf, ProfileStats, ServerSpec, TrafficPattern};
 use lemur_nf::{NfKind, NfParams, ParamValue};
-use lemur_placer::parallel::{parallel_map, Workers};
 
 fn main() {
     let server = ServerSpec::lemur_testbed();
@@ -66,8 +61,8 @@ fn main() {
         ),
     ];
 
-    let profiled = parallel_map(Workers::from_env(), paper, |_, row| {
-        let (name, kind, param, paper_nums, pattern) = row;
+    let mut rows = Vec::new();
+    for (name, kind, param, paper_nums, pattern) in paper {
         let mut params = NfParams::new();
         if let Some((k, v)) = param {
             params.set(k, ParamValue::Int(*v));
@@ -82,30 +77,20 @@ fn main() {
             max_cycles: same.max_cycles * server.cross_socket_penalty,
             runs: same.runs,
         };
-        let lines: Vec<String> = [("Same", &same), ("Diff", &diff)]
-            .iter()
-            .map(|(numa, s)| {
-                format!(
-                    "{name:<22} {numa:>6} {:>9.0} {:>9.0} {:>9.0} {:>7.1}%  {}/{}/{}",
-                    s.mean_cycles,
-                    s.min_cycles,
-                    s.max_cycles,
-                    s.spread() * 100.0,
-                    paper_nums.0,
-                    paper_nums.1,
-                    paper_nums.2
-                )
-            })
-            .collect();
-        (lines, (name.to_string(), same))
-    });
-    let mut rows = Vec::new();
-    for (lines, (name, same)) in profiled {
-        for line in lines {
-            println!("{line}");
+        for (numa, s) in [("Same", &same), ("Diff", &diff)] {
+            println!(
+                "{name:<22} {numa:>6} {:>9.0} {:>9.0} {:>9.0} {:>7.1}%  {}/{}/{}",
+                s.mean_cycles,
+                s.min_cycles,
+                s.max_cycles,
+                s.spread() * 100.0,
+                paper_nums.0,
+                paper_nums.1,
+                paper_nums.2
+            );
         }
         rows.push((
-            name,
+            name.to_string(),
             same.mean_cycles,
             same.min_cycles,
             same.max_cycles,

@@ -17,7 +17,6 @@ use lemur_core::Slo;
 use lemur_dataplane::{SimConfig, Testbed, TrafficSpec};
 use lemur_metacompiler::{CachedCompilerOracle, CompilerOracle};
 use lemur_placer::oracle::StageOracle;
-use lemur_placer::parallel::{parallel_map, Workers};
 use lemur_placer::placement::{EvaluatedPlacement, PlacementError, PlacementProblem};
 use lemur_placer::profiles::NfProfiles;
 use lemur_placer::topology::Topology;
@@ -239,7 +238,7 @@ pub struct Row {
     pub stages_used: Option<usize>,
     /// Stage-oracle invocations the search made for this cell (from
     /// [`lemur_placer::placement::SearchTelemetry`]); `None` when the
-    /// placement failed. Deterministic — independent of worker count.
+    /// placement failed. Deterministic — identical run to run.
     pub oracle_calls: Option<u64>,
 }
 
@@ -353,33 +352,6 @@ pub fn run_cell(
             oracle_calls: None,
         },
     }
-}
-
-/// Fan a whole (scheme, δ) sweep over the worker pool. Each cell is
-/// independent (it builds its own problem and testbed), so the sweep is
-/// embarrassingly parallel; ordered reduction in
-/// [`lemur_placer::parallel::parallel_map`] returns rows in exactly the
-/// order of `cells` — identical to the sequential nested loop regardless
-/// of worker count, which keeps the printed tables and JSON artifacts
-/// bit-comparable across `LEMUR_WORKERS` settings.
-pub fn run_cells(
-    cells: &[(Scheme, f64)],
-    which: &[CanonicalChain],
-    topology: &Topology,
-    oracle: &dyn StageOracle,
-    sim_duration_s: f64,
-    workers: Workers,
-) -> Vec<Row> {
-    parallel_map(workers, cells, |_, &(scheme, delta)| {
-        run_cell(
-            scheme,
-            which,
-            delta,
-            topology.clone(),
-            oracle,
-            sim_duration_s,
-        )
-    })
 }
 
 /// Chain-set definitions for Figure 2(a–e).

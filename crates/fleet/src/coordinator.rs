@@ -57,7 +57,6 @@ use lemur_core::graph::ChainSpec;
 use lemur_dataplane::CrossSiteTransfer;
 use lemur_placer::hierarchy::{assign_chains, FleetPlacement};
 use lemur_placer::oracle::StageOracle;
-use lemur_placer::parallel::Workers;
 use lemur_placer::profiles::NfProfiles;
 use lemur_placer::topology::Topology;
 
@@ -175,7 +174,6 @@ pub struct FleetCoordinator {
     stateful: Vec<usize>,
     topologies: Vec<Topology>,
     profiles: NfProfiles,
-    workers: Workers,
     pops: Vec<PopView>,
     /// chain → (home PoP, fencing token) — mirrors the journal replay.
     assignment: BTreeMap<usize, (usize, u64)>,
@@ -221,7 +219,6 @@ impl FleetCoordinator {
         stateful: Vec<usize>,
         topologies: Vec<Topology>,
         profiles: NfProfiles,
-        workers: Workers,
     ) -> FleetCoordinator {
         let n_pops = topologies.len();
         FleetCoordinator {
@@ -230,7 +227,6 @@ impl FleetCoordinator {
             stateful,
             topologies,
             profiles,
-            workers,
             pops: vec![
                 PopView {
                     health: PopHealth::Healthy,
@@ -269,20 +265,18 @@ impl FleetCoordinator {
     /// clocks) is gone; ownership, shed set, and PoP health replay from
     /// the longest complete journal prefix, and the token epoch jumps
     /// past everything ever granted.
-    #[allow(clippy::too_many_arguments)]
     pub fn recover(
         cfg: FleetConfig,
         chains: Vec<ChainSpec>,
         stateful: Vec<usize>,
         topologies: Vec<Topology>,
         profiles: NfProfiles,
-        workers: Workers,
         image: &[u8],
         now_ns: u64,
     ) -> FleetCoordinator {
         let recovery = DecisionLog::recover(image, now_ns);
         let summary = recovery.log.replay();
-        let mut c = FleetCoordinator::new(cfg, chains, stateful, topologies, profiles, workers);
+        let mut c = FleetCoordinator::new(cfg, chains, stateful, topologies, profiles);
         let max_epoch = recovery
             .log
             .records()
@@ -397,7 +391,6 @@ impl FleetCoordinator {
             &self.topologies,
             &self.profiles,
             oracle,
-            self.workers,
         );
         let mut out = Vec::new();
         for plan in &fp.pops {
@@ -951,7 +944,6 @@ impl FleetCoordinator {
             &candidates,
             &self.profiles,
             oracle,
-            self.workers,
         );
         for (chain, prior) in victims {
             self.migrating.remove(&chain);
@@ -1126,10 +1118,6 @@ impl FleetCoordinator {
     pub fn profiles(&self) -> &NfProfiles {
         &self.profiles
     }
-
-    pub fn workers(&self) -> Workers {
-        self.workers
-    }
 }
 
 #[cfg(test)]
@@ -1157,7 +1145,6 @@ mod tests {
             Vec::new(),
             vec![Topology::with_servers(2); n_pops],
             NfProfiles::table4(),
-            Workers::new(1),
         )
     }
 
@@ -1300,7 +1287,6 @@ mod tests {
             Vec::new(),
             vec![Topology::with_servers(2); 2],
             NfProfiles::table4(),
-            Workers::new(1),
             cut,
             1_000_000,
         );
@@ -1337,7 +1323,6 @@ mod tests {
             Vec::new(),
             vec![Topology::with_servers(2); 2],
             NfProfiles::table4(),
-            Workers::new(1),
             &[],
             500_000,
         );
@@ -1395,7 +1380,6 @@ mod tests {
             Vec::new(),
             vec![Topology::with_servers(2); 2],
             NfProfiles::table4(),
-            Workers::new(1),
             &log.encode(),
             1_000_000,
         );
@@ -1453,7 +1437,6 @@ mod tests {
             Vec::new(),
             vec![Topology::with_servers(2); 2],
             NfProfiles::table4(),
-            Workers::new(1),
             c.durable_image(),
             1_000_000,
         );

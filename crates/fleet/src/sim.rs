@@ -6,10 +6,9 @@
 //!
 //! Everything — channel fates, storm windows, crash truncation, traffic —
 //! draws from seeded generators, so a run is a pure function of
-//! `(spec, config)` and must reproduce bit-identically regardless of
-//! `LEMUR_WORKERS` (the placer's parallelism is internally
-//! deterministic). [`FleetReport`] implements `PartialEq` precisely so
-//! soaks can assert that.
+//! `(spec, config)` and must reproduce bit-identically run to run.
+//! [`FleetReport`] implements `PartialEq` precisely so soaks can assert
+//! that.
 
 use lemur_control::chaos::{fleet_storm, FleetChaosConfig};
 use lemur_control::{Supervisor, SupervisorConfig};
@@ -20,7 +19,6 @@ use lemur_dataplane::{FaultPlan, SimConfig, Testbed, TrafficSpec};
 use lemur_nf::NfKind;
 use lemur_placer::hierarchy::assign_chains;
 use lemur_placer::oracle::StageOracle;
-use lemur_placer::parallel::Workers;
 use lemur_placer::profiles::NfProfiles;
 use lemur_placer::topology::Topology;
 use rand::rngs::StdRng;
@@ -98,7 +96,6 @@ pub struct FleetSimConfig {
     pub channel: ChannelConfig,
     pub fleet: FleetConfig,
     pub chaos: FleetChaosConfig,
-    pub workers: Workers,
     /// Run post-storm packet-level validation sims per surviving PoP.
     pub validate: bool,
     /// Virtual duration of each validation sim.
@@ -128,7 +125,6 @@ impl FleetSimConfig {
                 ..FleetConfig::default()
             },
             chaos: FleetChaosConfig::soak(seed, n_pops),
-            workers: Workers::new(1),
             validate: true,
             validation_s: 0.012,
             overload_storm: None,
@@ -361,7 +357,6 @@ impl FleetSim {
             spec.stateful.clone(),
             spec.topologies.clone(),
             NfProfiles::table4(),
-            cfg.workers,
         );
         let mut pops: Vec<PopRuntime> = (0..n_pops)
             .map(|site| PopRuntime::new(site, &spec.stateful, cfg.report_every_ns))
@@ -399,7 +394,6 @@ impl FleetSim {
                     spec.stateful.clone(),
                     spec.topologies.clone(),
                     NfProfiles::table4(),
-                    cfg.workers,
                     &image[..image.len() - cut],
                     now,
                 );
@@ -569,7 +563,6 @@ impl FleetSim {
             &[],
             &NfProfiles::table4(),
             oracle,
-            cfg.workers,
         );
         let mut out = Vec::new();
         for plan in &fp.pops {

@@ -1,24 +1,22 @@
 //! The fleet soak's hard-invariant battery: exact conservation, fencing
-//! exclusivity, post-storm settlement, WAL consistency, worker-count
+//! exclusivity, post-storm settlement, WAL consistency, run-to-run
 //! reproducibility, and cross-PoP stateful failover — all under the
 //! seeded storm weather of `lemur_control::chaos::fleet_storm`.
 
 use lemur_fleet::sim::{FleetSim, FleetSimConfig, FleetSpec};
 use lemur_placer::oracle::AlwaysFits;
-use lemur_placer::parallel::Workers;
 
-fn soak(seed: u64, n_pops: usize, validate: bool, workers: Workers) -> lemur_fleet::FleetReport {
+fn soak(seed: u64, n_pops: usize, validate: bool) -> lemur_fleet::FleetReport {
     let spec = FleetSpec::canonical(n_pops);
     let mut cfg = FleetSimConfig::soak(seed, n_pops);
     cfg.validate = validate;
-    cfg.workers = workers;
     FleetSim::new(spec, cfg).run(&AlwaysFits)
 }
 
 #[test]
 fn soak_invariants_hold_across_seeds() {
     for seed in [1, 2, 3, 4] {
-        let report = soak(seed, 2, false, Workers::new(1));
+        let report = soak(seed, 2, false);
         assert!(
             report.invariants_hold(),
             "seed {seed} violated an invariant: {report:?}"
@@ -29,7 +27,7 @@ fn soak_invariants_hold_across_seeds() {
 
 #[test]
 fn validation_runs_the_real_dataplane_per_surviving_pop() {
-    let report = soak(3, 2, true, Workers::new(1));
+    let report = soak(3, 2, true);
     assert!(report.invariants_hold(), "{report:?}");
     assert!(
         !report.validations.is_empty(),
@@ -46,7 +44,7 @@ fn blackout_recovers_via_cross_site_state_migration() {
     // Seed 3's storm blacks out PoP 0 for a full drain window while it
     // holds a stateful (NAT) chain; the failover must ship the last
     // replicated snapshot to the survivor, not start fresh.
-    let report = soak(3, 2, false, Workers::new(1));
+    let report = soak(3, 2, false);
     assert_eq!(report.blackout_victim, Some(0), "{report:?}");
     assert!(report.drains >= 1, "{report:?}");
     assert!(report.state_failovers >= 1, "{report:?}");
@@ -56,13 +54,13 @@ fn blackout_recovers_via_cross_site_state_migration() {
 
 #[test]
 fn three_pop_fleets_survive_the_storm_too() {
-    let report = soak(7, 3, false, Workers::new(1));
+    let report = soak(7, 3, false);
     assert!(report.invariants_hold(), "{report:?}");
 }
 
 #[test]
-fn reports_are_bit_identical_across_worker_counts() {
-    let one = soak(11, 2, true, Workers::new(1));
-    let two = soak(11, 2, true, Workers::new(2));
-    assert_eq!(one, two, "worker count must not leak into the report");
+fn reports_are_bit_identical_run_to_run() {
+    let one = soak(11, 2, true);
+    let two = soak(11, 2, true);
+    assert_eq!(one, two, "the same seed must reproduce the report");
 }

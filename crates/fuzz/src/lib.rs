@@ -22,7 +22,7 @@
 //! `cargo test` replays forever after.
 //!
 //! Everything is seeded: a report is a pure function of `(seed set,
-//! trial count)`, independent of worker count and wall clock.
+//! trial count)`, independent of wall clock.
 
 pub mod backend;
 pub mod corpus;

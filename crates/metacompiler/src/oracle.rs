@@ -101,8 +101,7 @@ impl StageOracle for CompilerOracle {
 /// Compilation is a pure function of (program, model), both of which the
 /// key covers, so a cached verdict always equals a fresh compile (the
 /// cache-equivalence property test in `tests/proptest_cache.rs` checks
-/// this on random chains and placements). Safe to share across the
-/// placer's worker pool.
+/// this on random chains and placements).
 #[derive(Debug, Default)]
 pub struct CachedCompilerOracle {
     inner: CompilerOracle,

@@ -193,7 +193,8 @@ impl NetworkFunction for LoadBalancer {
         if n_backends == 0 {
             return Err(SnapshotError::Invalid("LB snapshot has no backends"));
         }
-        let mut old_backends = Vec::with_capacity(n_backends);
+        // The count is untrusted input: reserve at most a bounded prefix.
+        let mut old_backends = Vec::with_capacity(n_backends.min(1024));
         for _ in 0..n_backends {
             let ip = ipv4::Address::from_u32(d.u32()?);
             let mut mac = [0u8; 6];

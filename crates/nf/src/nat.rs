@@ -160,7 +160,8 @@ impl Nat {
         let _translated = d.u64()?;
         let _dropped = d.u64()?;
         let n = d.u32()? as usize;
-        let mut bindings = Vec::with_capacity(n);
+        // The count is untrusted input: reserve at most a bounded prefix.
+        let mut bindings = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
             let ip = ipv4::Address::from_u32(d.u32()?);
             let int_port = d.u16()?;

@@ -179,3 +179,20 @@ fn kind_mismatch_rejected_without_mutation() {
     assert!(lb.restore_state(&nat_snap).is_err());
     assert_eq!(lb.state_fingerprint(), before);
 }
+
+#[test]
+fn huge_declared_counts_fail_without_reserving_memory() {
+    // A record count of u32::MAX with no records behind it must run out of
+    // bytes and be rejected, not reserve memory for four billion records.
+    let mut lb = LoadBalancer::from_params(&NfParams::new());
+    let before = lb.state_fingerprint();
+    assert!(lb
+        .restore_state(&NfSnapshot::new(NfKind::Lb, vec![0xFF; 4]))
+        .is_err());
+    assert_eq!(lb.state_fingerprint(), before);
+
+    // NAT header (ip, 3 × u16, 3 × u64), then the binding count.
+    let mut payload = vec![0u8; 4 + 3 * 2 + 3 * 8];
+    payload.extend([0xFF; 4]);
+    assert!(Nat::decode_bindings(&NfSnapshot::new(NfKind::Nat, payload)).is_err());
+}

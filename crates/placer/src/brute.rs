@@ -11,7 +11,6 @@
 
 use crate::corealloc::{self, CoreStrategy};
 use crate::oracle::{CountingOracle, StageOracle, StageVerdict};
-use crate::parallel::{parallel_flat_map, parallel_map, Workers};
 use crate::placement::{
     Assignment, EvaluatedPlacement, PlacementError, PlacementProblem, SearchTelemetry,
 };
@@ -136,43 +135,17 @@ fn quick_score(problem: &PlacementProblem, assignment: &Assignment) -> Option<f6
     Some(corealloc::quick_estimate(problem, &sgs))
 }
 
-/// Run brute-force placement with the environment's worker count
-/// (`LEMUR_WORKERS` / available parallelism). Results are identical for
-/// every worker count — see [`optimal_with_workers`].
+/// Run brute-force placement.
+///
+/// Successors are generated in nested-loop order (beam partial, pattern,
+/// server) and sorted stably, so score ties keep that order. Ranked
+/// candidates are then evaluated in rank order: a fit replaces the best
+/// only when strictly better by 1e-6, and the last rejection is the error
+/// returned when nothing fits.
 pub fn optimal(
     problem: &PlacementProblem,
     oracle: &dyn StageOracle,
     config: BruteConfig,
-) -> Result<EvaluatedPlacement, PlacementError> {
-    optimal_with_workers(problem, oracle, config, Workers::from_env())
-}
-
-/// Outcome of one candidate's full evaluation (LP + stage oracle), carried
-/// through the parallel fan-out so the sequential reduction can replicate
-/// the exact best-selection and last-error semantics of the serial loop.
-enum CandidateOutcome {
-    Fit(Box<EvaluatedPlacement>),
-    Rejected(PlacementError),
-}
-
-/// Run brute-force placement with an explicit worker count.
-///
-/// Both parallel phases reduce in item order, so the returned placement,
-/// its telemetry, and every error message are bit-identical to the
-/// sequential (`workers = 1`) path:
-///
-/// * beam expansion fans out over the current beam's partials; each worker
-///   produces that partial's successors in the sequential nested-loop
-///   order and the flat-map concatenates them in partial order (stable
-///   sort ⇒ ties keep that order);
-/// * candidate evaluation fans out over the ranked prefix; verdicts are
-///   folded sequentially in rank order, reproducing the serial loop's
-///   "last error wins" and "strictly better by 1e-6" rules.
-pub fn optimal_with_workers(
-    problem: &PlacementProblem,
-    oracle: &dyn StageOracle,
-    config: BruteConfig,
-    workers: Workers,
 ) -> Result<EvaluatedPlacement, PlacementError> {
     let oracle = CountingOracle::new(oracle);
     let cache_before = oracle.cache_stats().unwrap_or_default();
@@ -181,7 +154,6 @@ pub fn optimal_with_workers(
     let mut pruned: u64 = 0;
 
     // Beam over (chains so far) × (server choice per chain).
-    #[derive(Clone)]
     struct Partial {
         assignment: Assignment,
         score: f64,
@@ -198,19 +170,18 @@ pub fn optimal_with_workers(
             problem.profiles.clone(),
         );
         let generated = beam.len() as u64 * patterns.len() as u64 * n_servers as u64;
-        let mut next: Vec<Partial> = parallel_flat_map(workers, &beam, |_, partial| {
-            let mut successors = Vec::new();
+        let mut next: Vec<Partial> = Vec::new();
+        for partial in &beam {
             for pattern in patterns {
                 for server in 0..n_servers {
                     let mut assignment = partial.assignment.clone();
                     assignment.push(materialize(pattern, server));
                     if let Some(score) = quick_score(&sub, &assignment) {
-                        successors.push(Partial { assignment, score });
+                        next.push(Partial { assignment, score });
                     }
                 }
             }
-            successors
-        });
+        }
         if next.is_empty() {
             return Err(PlacementError::Infeasible(format!(
                 "no feasible pattern prefix through chain {ci}"
@@ -227,40 +198,37 @@ pub fn optimal_with_workers(
     pruned += beam.len().saturating_sub(config.candidates) as u64;
     let ranked = &beam[..beam.len().min(config.candidates)];
     let lp_evals = ranked.len() as u64;
-    let outcomes = parallel_map(workers, ranked, |_, partial| {
-        match problem.evaluate(&partial.assignment, CoreStrategy::WaterFill) {
-            Ok(mut out) => match oracle.check(problem, &partial.assignment) {
-                StageVerdict::Fits { stages } => {
-                    out.stages_used = Some(stages);
-                    CandidateOutcome::Fit(Box::new(out))
-                }
-                StageVerdict::OutOfStages {
-                    required,
-                    available,
-                } => CandidateOutcome::Rejected(PlacementError::OutOfStages {
-                    required,
-                    available,
-                }),
-            },
-            Err(e) => CandidateOutcome::Rejected(e),
-        }
-    });
-
     let mut best: Option<EvaluatedPlacement> = None;
     let mut last_err =
         PlacementError::Infeasible("no candidate survived full evaluation".to_string());
-    for outcome in outcomes {
-        match outcome {
-            CandidateOutcome::Fit(out) => {
+    for partial in ranked {
+        let mut out = match problem.evaluate(&partial.assignment, CoreStrategy::WaterFill) {
+            Ok(out) => out,
+            Err(e) => {
+                last_err = e;
+                continue;
+            }
+        };
+        match oracle.check(problem, &partial.assignment) {
+            StageVerdict::Fits { stages } => {
+                out.stages_used = Some(stages);
                 if best
                     .as_ref()
                     .map(|b| out.marginal_bps > b.marginal_bps + 1e-6)
                     .unwrap_or(true)
                 {
-                    best = Some(*out);
+                    best = Some(out);
                 }
             }
-            CandidateOutcome::Rejected(e) => last_err = e,
+            StageVerdict::OutOfStages {
+                required,
+                available,
+            } => {
+                last_err = PlacementError::OutOfStages {
+                    required,
+                    available,
+                }
+            }
         }
     }
     let cache_after = oracle.cache_stats().unwrap_or_default();

@@ -1,4 +1,4 @@
-//! Sharded memoized stage-oracle cache.
+//! Memoized stage-oracle cache.
 //!
 //! "Off-the-shelf solvers cannot determine if a set of NF chains respects
 //! hardware constraints, since that requires actually invoking the
@@ -19,19 +19,13 @@
 //! `lemur-metacompiler` (`proptest_cache.rs`) checks the equivalence on
 //! random chains and placements.
 //!
-//! Determinism contract: a shard's value is computed at most once, while
-//! the shard lock is held. Total hits/misses over a search are therefore
-//! `accesses − distinct keys` / `distinct keys` — both schedule-independent
-//! — so telemetry is identical across worker counts.
+//! Determinism contract: the search is sequential, so each key is computed
+//! exactly once and a search's hits/misses are `accesses − distinct keys`
+//! and `distinct keys`.
 
 use crate::oracle::StageVerdict;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// Number of independently locked shards. Compile calls under a shard
-/// lock serialize only on fingerprint-shard collisions.
-const SHARDS: usize = 16;
 
 /// Cache occupancy and effectiveness counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -66,13 +60,12 @@ impl CacheStats {
     }
 }
 
-/// A sharded fingerprint → [`StageVerdict`] map, safe to share across the
-/// search pool's workers.
+/// A fingerprint → [`StageVerdict`] map with hit/miss counters.
 #[derive(Debug, Default)]
 pub struct StageCache {
-    shards: [Mutex<HashMap<u128, StageVerdict>>; SHARDS],
-    hits: AtomicU64,
-    misses: AtomicU64,
+    map: RefCell<HashMap<u128, StageVerdict>>,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
 }
 
 impl StageCache {
@@ -82,55 +75,42 @@ impl StageCache {
     }
 
     /// Look up `key`, computing and inserting with `compute` on a miss.
-    /// `compute` runs at most once per key cache-wide: the shard lock is
-    /// held across the computation, so concurrent probes of the same
-    /// program never both invoke the compiler.
     pub fn get_or_insert_with(
         &self,
         key: u128,
         compute: impl FnOnce() -> StageVerdict,
     ) -> StageVerdict {
-        let shard = &self.shards[(key % SHARDS as u128) as usize];
-        let mut map = shard.lock().expect("stage-cache shard poisoned");
-        if let Some(v) = map.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(v) = self.map.borrow().get(&key) {
+            self.hits.set(self.hits.get() + 1);
             return v.clone();
         }
         let v = compute();
-        map.insert(key, v.clone());
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.map.borrow_mut().insert(key, v.clone());
+        self.misses.set(self.misses.get() + 1);
         v
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.lock().expect("stage-cache shard poisoned").len() as u64)
-                .sum(),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            entries: self.map.borrow().len() as u64,
         }
     }
 
     /// Drop every entry and zero the counters (fresh-run isolation for
     /// benchmarks and determinism tests).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("stage-cache shard poisoned").clear();
-        }
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
+        self.map.borrow_mut().clear();
+        self.hits.set(0);
+        self.misses.set(0);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::{parallel_map, Workers};
-    use std::sync::atomic::AtomicU64;
 
     fn fits(stages: usize) -> StageVerdict {
         StageVerdict::Fits { stages }
@@ -159,23 +139,6 @@ mod tests {
             assert_eq!(cache.get_or_insert_with(k, || fits(9999)), fits(k as usize));
         }
         assert_eq!(cache.stats().entries, 100);
-    }
-
-    #[test]
-    fn compute_runs_once_under_contention() {
-        let cache = StageCache::new();
-        let computes = AtomicU64::new(0);
-        let items: Vec<u128> = (0..400).map(|i| i % 10).collect();
-        parallel_map(Workers::new(8), &items, |_, &k| {
-            cache.get_or_insert_with(k, || {
-                computes.fetch_add(1, Ordering::Relaxed);
-                fits(k as usize)
-            })
-        });
-        assert_eq!(computes.load(Ordering::Relaxed), 10);
-        let s = cache.stats();
-        assert_eq!(s.misses, 10);
-        assert_eq!(s.hits, 390);
     }
 
     #[test]

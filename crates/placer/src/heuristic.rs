@@ -19,7 +19,6 @@
 
 use crate::corealloc::CoreStrategy;
 use crate::oracle::{CountingOracle, StageOracle, StageVerdict};
-use crate::parallel::{parallel_map, Workers};
 use crate::placement::{
     Assignment, EvaluatedPlacement, PlacementError, PlacementProblem, SearchTelemetry,
 };
@@ -48,19 +47,6 @@ pub fn place_with_strategy(
     problem: &PlacementProblem,
     oracle: &dyn StageOracle,
     strategy: CoreStrategy,
-) -> Result<EvaluatedPlacement, PlacementError> {
-    place_with_workers(problem, oracle, strategy, Workers::from_env())
-}
-
-/// Heuristic with an explicit worker count for the LP fan-outs (the
-/// coalescing-candidate evaluation and each hill-climbing round). Both
-/// fan-outs reduce in item order, so the result is bit-identical to the
-/// sequential path for every worker count.
-pub fn place_with_workers(
-    problem: &PlacementProblem,
-    oracle: &dyn StageOracle,
-    strategy: CoreStrategy,
-    workers: Workers,
 ) -> Result<EvaluatedPlacement, PlacementError> {
     let oracle = CountingOracle::new(oracle);
     let cache_before = oracle.cache_stats().unwrap_or_default();
@@ -173,11 +159,8 @@ pub fn place_with_workers(
     let mut best: Option<EvaluatedPlacement> = None;
     let mut last_err = PlacementError::Infeasible("no heuristic candidate feasible".into());
     lp_evals += candidates.len() as u64;
-    let evaluated = parallel_map(workers, &candidates, |_, cand| {
-        problem.evaluate(cand, strategy)
-    });
-    for result in evaluated {
-        match result {
+    for cand in &candidates {
+        match problem.evaluate(cand, strategy) {
             Ok(out) => {
                 if best
                     .as_ref()
@@ -210,14 +193,10 @@ pub fn place_with_workers(
         let mut round_best: Option<(Assignment, EvaluatedPlacement)> = None;
         let demotions = demotion_candidates(problem, &current);
         lp_evals += demotions.len() as u64;
-        let trials = parallel_map(workers, &demotions, |_, &(ci, id, server)| {
+        for &(ci, id, server) in &demotions {
             let mut trial = current.clone();
             trial[ci].insert(id, Platform::Server(server));
-            let result = problem.evaluate(&trial, strategy);
-            (trial, result)
-        });
-        for (trial, result) in trials {
-            if let Ok(out) = result {
+            if let Ok(out) = problem.evaluate(&trial, strategy) {
                 let better_than_round = round_best
                     .as_ref()
                     .map(|(_, b)| out.marginal_bps > b.marginal_bps + 1e-6)

@@ -13,8 +13,8 @@
 //!    fleet level never admits a chain a rack cannot serve.
 //! 2. **Per-PoP subproblems** — the surviving chain set of each PoP is an
 //!    ordinary [`PlacementProblem`] solved by
-//!    [`crate::heuristic::place_with_workers`], so worker-count
-//!    determinism and stage-oracle memoization carry over unchanged.
+//!    [`crate::heuristic::place_with_strategy`], so its determinism and
+//!    stage-oracle memoization carry over unchanged.
 //!
 //! When aggregate fleet capacity is insufficient, the chains that find no
 //! seat are **shed in ascending priority order** — the same graceful-
@@ -24,9 +24,8 @@ use lemur_core::graph::ChainSpec;
 use lemur_core::Slo;
 
 use crate::corealloc::CoreStrategy;
-use crate::heuristic::place_with_workers;
+use crate::heuristic::place_with_strategy;
 use crate::oracle::StageOracle;
-use crate::parallel::Workers;
 use crate::placement::{EvaluatedPlacement, PlacementProblem};
 use crate::profiles::NfProfiles;
 use crate::topology::Topology;
@@ -101,7 +100,6 @@ fn solve_pop(
     topology: &Topology,
     profiles: &NfProfiles,
     oracle: &dyn StageOracle,
-    workers: Workers,
 ) -> Option<(PlacementProblem, EvaluatedPlacement)> {
     // A capacity-zero topology (e.g. a PoP fenced out of a failover
     // search) can hold nothing; the placer itself assumes ≥1 core.
@@ -113,7 +111,7 @@ fn solve_pop(
         topology.clone(),
         profiles.clone(),
     );
-    let placement = place_with_workers(&sub, oracle, CoreStrategy::WaterFill, workers).ok()?;
+    let placement = place_with_strategy(&sub, oracle, CoreStrategy::WaterFill).ok()?;
     let feasible = set.iter().enumerate().all(|(i, &c)| {
         let t_min = slo_of(&chains[c]).t_min_bps;
         placement.chain_rates_bps[i] >= t_min * (1.0 - VALIDATION_TOL)
@@ -137,7 +135,6 @@ pub fn assign_chains(
     candidates: &[usize],
     profiles: &NfProfiles,
     oracle: &dyn StageOracle,
-    workers: Workers,
 ) -> FleetPlacement {
     assert_eq!(locked.len(), pop_topologies.len(), "one locked set per PoP");
     let n_pops = pop_topologies.len();
@@ -152,14 +149,7 @@ pub fn assign_chains(
             if sets[p].is_empty() {
                 None
             } else {
-                solve_pop(
-                    chains,
-                    &sets[p],
-                    &pop_topologies[p],
-                    profiles,
-                    oracle,
-                    workers,
-                )
+                solve_pop(chains, &sets[p], &pop_topologies[p], profiles, oracle)
             }
         })
         .collect();
@@ -188,14 +178,7 @@ pub fn assign_chains(
             let mut tentative = sets[p].clone();
             let at = tentative.binary_search(&c).unwrap_or_else(|i| i);
             tentative.insert(at, c);
-            if let Some(ok) = solve_pop(
-                chains,
-                &tentative,
-                &pop_topologies[p],
-                profiles,
-                oracle,
-                workers,
-            ) {
+            if let Some(ok) = solve_pop(chains, &tentative, &pop_topologies[p], profiles, oracle) {
                 sets[p] = tentative;
                 solved[p] = Some(ok);
                 seated = true;
@@ -235,19 +218,10 @@ pub fn place_fleet(
     pop_topologies: &[Topology],
     profiles: &NfProfiles,
     oracle: &dyn StageOracle,
-    workers: Workers,
 ) -> FleetPlacement {
     let all: Vec<usize> = (0..chains.len()).collect();
     let locked = vec![Vec::new(); pop_topologies.len()];
-    assign_chains(
-        chains,
-        pop_topologies,
-        &locked,
-        &all,
-        profiles,
-        oracle,
-        workers,
-    )
+    assign_chains(chains, pop_topologies, &locked, &all, profiles, oracle)
 }
 
 #[cfg(test)]
@@ -278,13 +252,7 @@ mod tests {
     fn every_chain_has_exactly_one_home_or_is_shed() {
         let chains = catalog(4, 1e9);
         let pops = vec![Topology::with_servers(2), Topology::with_servers(2)];
-        let fp = place_fleet(
-            &chains,
-            &pops,
-            &NfProfiles::table4(),
-            &AlwaysFits,
-            Workers::new(1),
-        );
+        let fp = place_fleet(&chains, &pops, &NfProfiles::table4(), &AlwaysFits);
         let mut seen = vec![0usize; chains.len()];
         for p in &fp.pops {
             for &c in &p.chains {
@@ -305,13 +273,7 @@ mod tests {
         // chains must be the ones shed.
         let chains = catalog(4, 40e9);
         let pops = vec![Topology::with_servers(1)];
-        let fp = place_fleet(
-            &chains,
-            &pops,
-            &NfProfiles::table4(),
-            &AlwaysFits,
-            Workers::new(1),
-        );
+        let fp = place_fleet(&chains, &pops, &NfProfiles::table4(), &AlwaysFits);
         assert!(!fp.shed.is_empty(), "overload must shed");
         let priorities: Vec<u8> = fp
             .shed
@@ -332,13 +294,7 @@ mod tests {
     fn failover_reassignment_respects_locked_chains() {
         let chains = catalog(4, 1e9);
         let pops = vec![Topology::with_servers(2), Topology::with_servers(2)];
-        let fp = place_fleet(
-            &chains,
-            &pops,
-            &NfProfiles::table4(),
-            &AlwaysFits,
-            Workers::new(1),
-        );
+        let fp = place_fleet(&chains, &pops, &NfProfiles::table4(), &AlwaysFits);
         // PoP 0 dies: its chains become candidates, PoP 1 keeps its own.
         let dead: Vec<usize> = fp.pops[0].chains.clone();
         let locked = vec![Vec::new(), fp.pops[1].chains.clone()];
@@ -349,7 +305,6 @@ mod tests {
             &dead,
             &NfProfiles::table4(),
             &AlwaysFits,
-            Workers::new(1),
         );
         for &c in &fp.pops[1].chains {
             assert!(
@@ -363,33 +318,5 @@ mod tests {
             let shed = after.shed.contains(&c);
             assert!(homed ^ shed, "chain {c} must fail over or shed, not both");
         }
-    }
-
-    #[test]
-    fn deterministic_across_worker_counts() {
-        let chains = catalog(5, 1e9);
-        let pops = vec![Topology::with_servers(2), Topology::with_servers(3)];
-        let a = place_fleet(
-            &chains,
-            &pops,
-            &NfProfiles::table4(),
-            &AlwaysFits,
-            Workers::new(1),
-        );
-        let b = place_fleet(
-            &chains,
-            &pops,
-            &NfProfiles::table4(),
-            &AlwaysFits,
-            Workers::new(4),
-        );
-        for (pa, pb) in a.pops.iter().zip(&b.pops) {
-            assert_eq!(pa.chains, pb.chains);
-            assert_eq!(
-                pa.placement.as_ref().map(|p| &p.assignment),
-                pb.placement.as_ref().map(|p| &p.assignment)
-            );
-        }
-        assert_eq!(a.shed, b.shed);
     }
 }

@@ -32,10 +32,7 @@
 //! * [`hierarchy`] — hierarchical fleet placement: cross-PoP chain
 //!   assignment (greedy by priority, least-loaded PoP first, shed by
 //!   ascending priority) over per-PoP subproblems solved by [`heuristic`].
-//! * [`parallel`] — deterministic work-sharing thread pool (ordered
-//!   reduction: results are bit-identical to the sequential path
-//!   regardless of worker count).
-//! * [`cache`] — sharded memoized stage-oracle cache keyed by a canonical
+//! * [`cache`] — memoized stage-oracle cache keyed by a canonical
 //!   fingerprint of the synthesized switch program.
 
 pub mod ablations;
@@ -46,7 +43,6 @@ pub mod corealloc;
 pub mod heuristic;
 pub mod hierarchy;
 pub mod oracle;
-pub mod parallel;
 pub mod placement;
 pub mod profiles;
 pub mod repair;
@@ -55,7 +51,6 @@ pub mod topology;
 pub use cache::{CacheStats, StageCache};
 pub use hierarchy::{assign_chains, place_fleet, FleetPlacement, PopPlan};
 pub use oracle::{CountingOracle, ModelOracle, StageOracle};
-pub use parallel::{parallel_flat_map, parallel_map, Workers};
 pub use placement::{Assignment, EvaluatedPlacement, PlacementError, PlacementProblem};
 pub use profiles::{NfProfiles, Platform, ProfileSource};
 pub use repair::{repair, repair_assignment, RepairMode, RepairResult};

@@ -13,7 +13,7 @@ use crate::cache::CacheStats;
 use crate::placement::{Assignment, PlacementProblem};
 use crate::profiles::Platform;
 use lemur_nf::NfKind;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Verdict of a stage-feasibility check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,10 +25,7 @@ pub enum StageVerdict {
 }
 
 /// A stage-feasibility oracle over switch-resident NFs.
-///
-/// `Sync` because the parallel search fans candidate checks out across the
-/// [`crate::parallel`] pool, sharing one oracle by reference.
-pub trait StageOracle: Sync {
+pub trait StageOracle {
     /// Check the PISA program implied by `assignment` for `problem`.
     fn check(&self, problem: &PlacementProblem, assignment: &Assignment) -> StageVerdict;
 
@@ -59,7 +56,7 @@ impl<O: StageOracle + ?Sized> StageOracle for &O {
 #[derive(Debug, Default)]
 pub struct CountingOracle<O> {
     inner: O,
-    calls: AtomicU64,
+    calls: Cell<u64>,
 }
 
 impl<O: StageOracle> CountingOracle<O> {
@@ -67,13 +64,13 @@ impl<O: StageOracle> CountingOracle<O> {
     pub fn new(inner: O) -> CountingOracle<O> {
         CountingOracle {
             inner,
-            calls: AtomicU64::new(0),
+            calls: Cell::new(0),
         }
     }
 
     /// Number of `check` calls observed so far.
     pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
+        self.calls.get()
     }
 
     /// The wrapped oracle.
@@ -84,7 +81,7 @@ impl<O: StageOracle> CountingOracle<O> {
 
 impl<O: StageOracle> StageOracle for CountingOracle<O> {
     fn check(&self, problem: &PlacementProblem, assignment: &Assignment) -> StageVerdict {
-        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.calls.set(self.calls.get() + 1);
         self.inner.check(problem, assignment)
     }
 

@@ -24,9 +24,9 @@ pub const BOUNCE_LATENCY_NS: f64 = 8_000.0;
 /// Platform assignment for every node of every chain.
 ///
 /// A `BTreeMap` (not `HashMap`) on purpose: candidate generation, ranking,
-/// and subsampling iterate assignments, and the parallel search asserts
-/// bit-identical results across worker counts — ordered iteration (and
-/// ordered `Debug` output) makes ties rank identically everywhere.
+/// and subsampling iterate assignments, and re-runs of a search must be
+/// bit-identical — ordered iteration (and ordered `Debug` output) makes
+/// ties rank identically everywhere.
 pub type Assignment = Vec<BTreeMap<NodeId, Platform>>;
 
 /// Why a placement is infeasible.
@@ -137,8 +137,8 @@ pub struct NicNfPlan {
 
 /// Deterministic counters from a placement search. Every field is a pure
 /// function of the search inputs — *never* of wall time or scheduling — so
-/// telemetry compares bit-identically across worker counts (wall-clock
-/// timings live in the bench harness, not here).
+/// telemetry compares bit-identically run to run (wall-clock timings live
+/// in the bench harness, not here).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchTelemetry {
     /// Stage-oracle invocations (compiler calls when the oracle is the
