@@ -32,7 +32,9 @@ use lemur_placer::brute::{optimal, BruteConfig};
 use lemur_placer::corealloc::CoreStrategy;
 use lemur_placer::heuristic::place_with_strategy;
 use lemur_placer::oracle::StageOracle;
-use lemur_placer::placement::{EvaluatedPlacement, PlacementError, PlacementProblem};
+use lemur_placer::placement::{
+    EvaluatedPlacement, PlacementError, PlacementProblem, SearchTelemetry,
+};
 use lemur_placer::topology::Topology;
 use std::time::Instant;
 
@@ -47,6 +49,10 @@ struct ScalingRow {
     cache_hits: u64,
     cache_misses: u64,
     cache_hit_rate: f64,
+    /// Full LP evaluations, summed over the cell's searches.
+    lp_evals: u64,
+    /// Candidates pruned before full evaluation, summed likewise.
+    pruned: u64,
     /// `Debug` repr identical to a second run of this configuration.
     identical_to_rerun: bool,
 }
@@ -63,6 +69,8 @@ impl serde::Serialize for ScalingRow {
             ("cache_hits".to_string(), self.cache_hits.to_value()),
             ("cache_misses".to_string(), self.cache_misses.to_value()),
             ("cache_hit_rate".to_string(), self.cache_hit_rate.to_value()),
+            ("lp_evals".to_string(), self.lp_evals.to_value()),
+            ("pruned".to_string(), self.pruned.to_value()),
             (
                 "identical_to_rerun".to_string(),
                 self.identical_to_rerun.to_value(),
@@ -107,20 +115,22 @@ fn scaling_row(
     };
     let (wall_s, cache, results) = run();
     let (_, _, rerun) = run();
+    let telemetry: Vec<SearchTelemetry> = results
+        .iter()
+        .filter_map(|r| r.as_ref().ok()?.telemetry)
+        .collect();
     ScalingRow {
         set,
         algo,
         oracle: oracle_kind,
         wall_s,
         feasible: results.iter().all(|r| r.is_ok()),
-        oracle_calls: results
-            .iter()
-            .filter_map(|r| r.as_ref().ok()?.telemetry)
-            .map(|t| t.oracle_calls)
-            .sum(),
+        oracle_calls: telemetry.iter().map(|t| t.oracle_calls).sum(),
         cache_hits: cache.hits,
         cache_misses: cache.misses,
         cache_hit_rate: cache.hit_rate(),
+        lp_evals: telemetry.iter().map(|t| t.lp_evals).sum(),
+        pruned: telemetry.iter().map(|t| t.pruned_candidates).sum(),
         identical_to_rerun: format!("{results:?}") == format!("{rerun:?}"),
     }
 }
@@ -174,8 +184,18 @@ fn main() {
     // re-run.
     println!("\n=== Search-engine scaling: algorithm × oracle ===\n");
     println!(
-        "{:<20} {:>9} {:>9} {:>9} {:>8} {:>7} {:>7} {:>6} {:>10}",
-        "set", "algo", "oracle", "wall_s", "oracle#", "hits", "misses", "hit%", "det"
+        "{:<20} {:>9} {:>9} {:>9} {:>8} {:>7} {:>7} {:>6} {:>6} {:>8} {:>10}",
+        "set",
+        "algo",
+        "oracle",
+        "wall_s",
+        "oracle#",
+        "hits",
+        "misses",
+        "hit%",
+        "lp#",
+        "pruned",
+        "det"
     );
     let plain = CompilerOracle::new();
     let cached = CachedCompilerOracle::new();
@@ -224,7 +244,7 @@ fn main() {
     for r in &matrix {
         all_deterministic &= r.identical_to_rerun;
         println!(
-            "{:<20} {:>9} {:>9} {:>9.3} {:>8} {:>7} {:>7} {:>5.0}% {:>10}",
+            "{:<20} {:>9} {:>9} {:>9.3} {:>8} {:>7} {:>7} {:>5.0}% {:>6} {:>8} {:>10}",
             r.set,
             r.algo,
             r.oracle,
@@ -233,6 +253,8 @@ fn main() {
             r.cache_hits,
             r.cache_misses,
             r.cache_hit_rate * 100.0,
+            r.lp_evals,
+            r.pruned,
             if r.identical_to_rerun {
                 "identical"
             } else {

@@ -125,6 +125,25 @@ impl SubgroupPlan {
     }
 }
 
+/// What subgroup formation needs to know about one chain, independent of
+/// where its NFs are placed (see [`PlacementProblem::chain_shape`]). All
+/// per-node vectors are indexed by `NodeId.0`.
+#[derive(Debug, Clone)]
+pub(crate) struct ChainShape {
+    /// Topological order of the chain's nodes.
+    order: Vec<NodeId>,
+    /// Fraction of the chain's traffic through each node.
+    fraction: Vec<f64>,
+    /// Server cycles per packet of each node, without NSH overhead.
+    server_cycles: Vec<f64>,
+    /// Whether each node may sit in a replicated subgroup: a replicable
+    /// kind that is neither a branch nor a merge point.
+    replicable: Vec<bool>,
+    /// The linear edges, by target: `linear_pred[to] = Some(from)` when
+    /// `from → to` is `from`'s only outgoing and `to`'s only incoming edge.
+    linear_pred: Vec<Option<NodeId>>,
+}
+
 /// An NF placed on a SmartNIC.
 #[derive(Debug, Clone)]
 pub struct NicNfPlan {
@@ -217,22 +236,11 @@ impl PlacementProblem {
         })
     }
 
-    /// Traffic fraction through each node of a chain.
-    pub fn node_fractions(&self, chain: usize) -> HashMap<NodeId, f64> {
-        let mut f: HashMap<NodeId, f64> = HashMap::new();
-        for lc in self.chains[chain].graph.decompose() {
-            for n in &lc.nodes {
-                *f.entry(*n).or_insert(0.0) += lc.weight;
-            }
-        }
-        f
-    }
-
     /// The chain's *base rate* (§5.1): the rate with one core on the
     /// slowest software NF. Used to derive the δ-scaled `t_min` sweeps.
     pub fn base_rate_bps(&self, chain: usize) -> f64 {
         let clock = self.topology.servers[0].clock_hz;
-        let fractions = self.node_fractions(chain);
+        let fraction = self.chain_shape(chain).fraction;
         self.chains[chain]
             .graph
             .nodes()
@@ -244,7 +252,7 @@ impl PlacementProblem {
             .map(|(id, n)| {
                 let cycles = self.profiles.server_cycles(n.kind, &n.params) + NSH_OVERHEAD_CYCLES;
                 let pps = clock / cycles;
-                pps * PACKET_BITS / fractions.get(&id).copied().unwrap_or(1.0).max(1e-12)
+                pps * PACKET_BITS / fraction[id.0].max(1e-12)
             })
             .fold(f64::INFINITY, f64::min)
     }
@@ -252,103 +260,162 @@ impl PlacementProblem {
     /// Check assignment capabilities (every node on a platform with an
     /// implementation that exists in this topology).
     pub fn check_capabilities(&self, assignment: &Assignment) -> Result<(), PlacementError> {
-        for (ci, chain) in self.chains.iter().enumerate() {
-            for (id, node) in chain.graph.nodes() {
-                let Some(platform) = assignment[ci].get(&id) else {
-                    return Err(PlacementError::Infeasible(format!(
-                        "chain {ci}: node {} unassigned",
-                        node.name
-                    )));
+        for (ci, platforms) in assignment[..self.chains.len()].iter().enumerate() {
+            self.check_chain_capabilities(ci, platforms)?;
+        }
+        Ok(())
+    }
+
+    /// [`PlacementProblem::check_capabilities`] for chain `ci` alone.
+    pub(crate) fn check_chain_capabilities(
+        &self,
+        ci: usize,
+        platforms: &BTreeMap<NodeId, Platform>,
+    ) -> Result<(), PlacementError> {
+        for (id, node) in self.chains[ci].graph.nodes() {
+            let Some(platform) = platforms.get(&id) else {
+                return Err(PlacementError::Infeasible(format!(
+                    "chain {ci}: node {} unassigned",
+                    node.name
+                )));
+            };
+            let ok = self
+                .profiles
+                .capabilities(node.kind)
+                .contains(&platform.class())
+                && match platform {
+                    Platform::Pisa => self.topology.has_pisa(),
+                    Platform::OpenFlow => matches!(self.topology.tor, Tor::OpenFlow { .. }),
+                    Platform::Server(s) => *s < self.topology.servers.len(),
+                    Platform::SmartNic(n) => *n < self.topology.smartnics.len(),
                 };
-                let ok = self
-                    .profiles
-                    .capabilities(node.kind)
-                    .contains(&platform.class())
-                    && match platform {
-                        Platform::Pisa => self.topology.has_pisa(),
-                        Platform::OpenFlow => matches!(self.topology.tor, Tor::OpenFlow { .. }),
-                        Platform::Server(s) => *s < self.topology.servers.len(),
-                        Platform::SmartNic(n) => *n < self.topology.smartnics.len(),
-                    };
-                if !ok {
-                    return Err(PlacementError::NoCapability {
-                        chain: ci,
-                        node: node.name.clone(),
-                        platform: *platform,
-                    });
-                }
+            if !ok {
+                return Err(PlacementError::NoCapability {
+                    chain: ci,
+                    node: node.name.clone(),
+                    platform: *platform,
+                });
             }
         }
         Ok(())
     }
 
-    /// Form run-to-completion subgroups for an assignment: consecutive
-    /// same-server nodes joined across purely linear edges (§3.2).
+    /// The assignment-independent facts subgroup formation needs about
+    /// chain `ci` (see [`ChainShape`]): one decomposition of the graph,
+    /// with branch, merge and linear edges read off degree counts rather
+    /// than per-node edge scans.
+    pub(crate) fn chain_shape(&self, ci: usize) -> ChainShape {
+        let g = &self.chains[ci].graph;
+        let n = g.num_nodes();
+        let mut fraction = vec![0.0; n];
+        for lc in g.decompose() {
+            for id in &lc.nodes {
+                fraction[id.0] += lc.weight;
+            }
+        }
+        let mut in_degree = vec![0usize; n];
+        let mut out_degree = vec![0usize; n];
+        for e in g.edges() {
+            out_degree[e.from.0] += 1;
+            in_degree[e.to.0] += 1;
+        }
+        let mut linear_pred = vec![None; n];
+        for e in g.edges() {
+            if out_degree[e.from.0] == 1 && in_degree[e.to.0] == 1 {
+                linear_pred[e.to.0] = Some(e.from);
+            }
+        }
+        let (server_cycles, replicable) = g
+            .nodes()
+            .map(|(id, node)| {
+                (
+                    self.profiles.server_cycles(node.kind, &node.params),
+                    is_replicable(node.kind) && out_degree[id.0] <= 1 && in_degree[id.0] <= 1,
+                )
+            })
+            .unzip();
+        ChainShape {
+            order: g.topo_order().expect("validated"),
+            fraction,
+            server_cycles,
+            replicable,
+            linear_pred,
+        }
+    }
+
+    /// Append chain `ci`'s run-to-completion subgroups under `platforms`
+    /// to `out`: consecutive same-server nodes joined across purely linear
+    /// edges (§3.2), members in topological order, subgroups ordered by
+    /// first node id, one core each.
+    pub(crate) fn chain_subgroups(
+        &self,
+        ci: usize,
+        shape: &ChainShape,
+        platforms: &BTreeMap<NodeId, Platform>,
+        out: &mut Vec<SubgroupPlan>,
+    ) {
+        let start = out.len();
+        // Index into `out` of each node's subgroup. A linear edge's ends
+        // have no other edge between them, so every subgroup is a path
+        // and joins its member's linear predecessor, seen earlier in
+        // topological order.
+        let mut member_of = vec![usize::MAX; shape.order.len()];
+        for &id in &shape.order {
+            let Some(&Platform::Server(server)) = platforms.get(&id) else {
+                continue;
+            };
+            let pred = shape.linear_pred[id.0]
+                .filter(|p| platforms.get(p) == Some(&Platform::Server(server)));
+            match pred {
+                Some(p) => {
+                    let i = member_of[p.0];
+                    out[i].nodes.push(id);
+                    member_of[id.0] = i;
+                }
+                None => {
+                    member_of[id.0] = out.len();
+                    out.push(SubgroupPlan {
+                        chain: ci,
+                        server,
+                        nodes: vec![id],
+                        cycles: 0.0,
+                        fraction: shape.fraction[id.0],
+                        replicable: true,
+                        cores: 1,
+                    });
+                }
+            }
+        }
+        let formed = &mut out[start..];
+        for sg in formed.iter_mut() {
+            sg.cycles = sg
+                .nodes
+                .iter()
+                .map(|id| shape.server_cycles[id.0])
+                .sum::<f64>()
+                + NSH_OVERHEAD_CYCLES;
+            sg.replicable = sg.nodes.iter().all(|id| shape.replicable[id.0]);
+        }
+        formed.sort_by_key(|sg| sg.nodes[0].0);
+    }
+
+    /// Form run-to-completion subgroups for an assignment: per chain,
+    /// consecutive same-server nodes joined across purely linear edges
+    /// (§3.2). Chain-major; within a chain, ordered by first node id.
     pub fn form_subgroups(&self, assignment: &Assignment) -> Vec<SubgroupPlan> {
+        self.subgroups_with(&self.chain_shapes(), assignment)
+    }
+
+    fn chain_shapes(&self) -> Vec<ChainShape> {
+        (0..self.chains.len())
+            .map(|ci| self.chain_shape(ci))
+            .collect()
+    }
+
+    fn subgroups_with(&self, shapes: &[ChainShape], assignment: &Assignment) -> Vec<SubgroupPlan> {
         let mut out = Vec::new();
-        for (ci, chain) in self.chains.iter().enumerate() {
-            let fractions = self.node_fractions(ci);
-            let g = &chain.graph;
-            let order = g.topo_order().expect("validated");
-            // Union-find over nodes.
-            let n = g.num_nodes();
-            let mut parent: Vec<usize> = (0..n).collect();
-            fn find(p: &mut Vec<usize>, x: usize) -> usize {
-                if p[x] != x {
-                    let r = find(p, p[x]);
-                    p[x] = r;
-                }
-                p[x]
-            }
-            for e in g.edges() {
-                let pf = assignment[ci].get(&e.from);
-                let pt = assignment[ci].get(&e.to);
-                if let (Some(Platform::Server(a)), Some(Platform::Server(b))) = (pf, pt) {
-                    if a == b && g.out_edges(e.from).len() == 1 && g.in_degree(e.to) == 1 {
-                        let ra = find(&mut parent, e.from.0);
-                        let rb = find(&mut parent, e.to.0);
-                        parent[ra] = rb;
-                    }
-                }
-            }
-            // Collect groups in topo order.
-            let mut groups: HashMap<usize, Vec<NodeId>> = HashMap::new();
-            for id in &order {
-                if let Some(Platform::Server(_)) = assignment[ci].get(id) {
-                    let root = find(&mut parent, id.0);
-                    groups.entry(root).or_default().push(*id);
-                }
-            }
-            let mut roots: Vec<usize> = groups.keys().copied().collect();
-            roots.sort_by_key(|r| groups[r][0].0);
-            for root in roots {
-                let nodes = groups.remove(&root).unwrap();
-                let Platform::Server(server) = assignment[ci][&nodes[0]] else {
-                    unreachable!()
-                };
-                let cycles: f64 = nodes
-                    .iter()
-                    .map(|id| {
-                        let node = g.node(*id);
-                        self.profiles.server_cycles(node.kind, &node.params)
-                    })
-                    .sum::<f64>()
-                    + NSH_OVERHEAD_CYCLES;
-                let replicable = nodes.iter().all(|id| {
-                    let node = g.node(*id);
-                    is_replicable(node.kind) && !g.is_branch(*id) && !g.is_merge(*id)
-                });
-                let fraction = fractions.get(&nodes[0]).copied().unwrap_or(1.0);
-                out.push(SubgroupPlan {
-                    chain: ci,
-                    server,
-                    nodes,
-                    cycles,
-                    fraction,
-                    replicable,
-                    cores: 1,
-                });
-            }
+        for (ci, shape) in shapes.iter().enumerate() {
+            self.chain_subgroups(ci, shape, &assignment[ci], &mut out);
         }
         out
     }
@@ -516,12 +583,12 @@ impl PlacementProblem {
             }
         }
 
-        let mut subgroups = self.form_subgroups(assignment);
+        let shapes = self.chain_shapes();
+        let mut subgroups = self.subgroups_with(&shapes, assignment);
 
         // SmartNIC NFs.
         let mut nic_nfs = Vec::new();
         for (ci, chain) in self.chains.iter().enumerate() {
-            let fractions = self.node_fractions(ci);
             for (id, node) in chain.graph.nodes() {
                 if let Some(Platform::SmartNic(nic)) = assignment[ci].get(&id) {
                     let cycles = self
@@ -537,7 +604,7 @@ impl PlacementProblem {
                         node: id,
                         nic: *nic,
                         cycles,
-                        fraction: fractions.get(&id).copied().unwrap_or(1.0),
+                        fraction: shapes[ci].fraction[id.0],
                     });
                 }
             }
@@ -691,6 +758,7 @@ mod tests {
     use lemur_core::chains::{canonical_chain, CanonicalChain};
     use lemur_core::Slo;
     use lemur_nf::NfKind;
+    use proptest::prelude::*;
 
     fn spec(which: CanonicalChain, t_min: f64) -> ChainSpec {
         ChainSpec {
@@ -719,6 +787,123 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    /// The union-find subgroup formation [`PlacementProblem::chain_subgroups`]
+    /// replaced.
+    fn reference_subgroups(p: &PlacementProblem, assignment: &Assignment) -> Vec<SubgroupPlan> {
+        let mut out = Vec::new();
+        for (ci, chain) in p.chains.iter().enumerate() {
+            let mut fractions: HashMap<NodeId, f64> = HashMap::new();
+            for lc in chain.graph.decompose() {
+                for n in &lc.nodes {
+                    *fractions.entry(*n).or_insert(0.0) += lc.weight;
+                }
+            }
+            let g = &chain.graph;
+            let order = g.topo_order().expect("validated");
+            let mut parent: Vec<usize> = (0..g.num_nodes()).collect();
+            fn find(p: &mut Vec<usize>, x: usize) -> usize {
+                if p[x] != x {
+                    let r = find(p, p[x]);
+                    p[x] = r;
+                }
+                p[x]
+            }
+            for e in g.edges() {
+                let pf = assignment[ci].get(&e.from);
+                let pt = assignment[ci].get(&e.to);
+                if let (Some(Platform::Server(a)), Some(Platform::Server(b))) = (pf, pt) {
+                    if a == b && g.out_edges(e.from).len() == 1 && g.in_degree(e.to) == 1 {
+                        let ra = find(&mut parent, e.from.0);
+                        let rb = find(&mut parent, e.to.0);
+                        parent[ra] = rb;
+                    }
+                }
+            }
+            let mut groups: HashMap<usize, Vec<NodeId>> = HashMap::new();
+            for id in &order {
+                if let Some(Platform::Server(_)) = assignment[ci].get(id) {
+                    let root = find(&mut parent, id.0);
+                    groups.entry(root).or_default().push(*id);
+                }
+            }
+            let mut roots: Vec<usize> = groups.keys().copied().collect();
+            roots.sort_by_key(|r| groups[r][0].0);
+            for root in roots {
+                let nodes = groups.remove(&root).unwrap();
+                let Platform::Server(server) = assignment[ci][&nodes[0]] else {
+                    unreachable!()
+                };
+                let cycles: f64 = nodes
+                    .iter()
+                    .map(|id| {
+                        let node = g.node(*id);
+                        p.profiles.server_cycles(node.kind, &node.params)
+                    })
+                    .sum::<f64>()
+                    + NSH_OVERHEAD_CYCLES;
+                let replicable = nodes.iter().all(|id| {
+                    let node = g.node(*id);
+                    is_replicable(node.kind) && !g.is_branch(*id) && !g.is_merge(*id)
+                });
+                let fraction = fractions.get(&nodes[0]).copied().unwrap_or(1.0);
+                out.push(SubgroupPlan {
+                    chain: ci,
+                    server,
+                    nodes,
+                    cycles,
+                    fraction,
+                    replicable,
+                    cores: 1,
+                });
+            }
+        }
+        out
+    }
+
+    proptest! {
+        /// Per-chain subgroups, concatenated in chain order, are
+        /// `form_subgroups` and the union-find formation it replaced.
+        /// Each chain takes a (pattern, server) choice from the brute-force
+        /// generator, then `moved` sends some server NFs to the other
+        /// server, which splits runs.
+        #[test]
+        fn chain_subgroups_concatenate_to_form_subgroups(
+            picks in prop::collection::vec(
+                (0..CanonicalChain::ALL.len(), any::<usize>(), 0..2usize, any::<u64>()),
+                1..5,
+            ),
+        ) {
+            let chains: Vec<ChainSpec> = picks
+                .iter()
+                .map(|&(which, ..)| spec(CanonicalChain::ALL[which], 1e8))
+                .collect();
+            let p = PlacementProblem::new(chains, Topology::with_servers(2), NfProfiles::table4());
+            let patterns = crate::brute::per_chain_patterns(&p, 4096);
+            let assignment: Assignment = picks
+                .iter()
+                .zip(&patterns)
+                .map(|(&(_, pattern, server, moved), pats)| {
+                    let mut platforms = crate::brute::materialize(&pats[pattern % pats.len()], server);
+                    for (id, plat) in platforms.iter_mut() {
+                        if moved >> (id.0 % 64) & 1 == 1 {
+                            if let Platform::Server(s) = plat {
+                                *plat = Platform::Server(1 - *s);
+                            }
+                        }
+                    }
+                    platforms
+                })
+                .collect();
+            let mut concatenated = Vec::new();
+            for (ci, platforms) in assignment.iter().enumerate() {
+                p.chain_subgroups(ci, &p.chain_shape(ci), platforms, &mut concatenated);
+            }
+            let formed = format!("{:?}", p.form_subgroups(&assignment));
+            prop_assert_eq!(format!("{concatenated:?}"), formed.clone());
+            prop_assert_eq!(format!("{:?}", reference_subgroups(&p, &assignment)), formed);
+        }
     }
 
     #[test]
